@@ -56,9 +56,9 @@ class DegreeIndex:
         self._buckets: dict[int, set[int]] = {}
         self._degree_of: dict[int, int] = {}
         self._decoded: set[int] = set()
-        # Memoized tuple(frozenset(bucket)) per degree for the fast
-        # builder pool (see items_tuple); every mutation invalidates the
-        # degrees it touches.
+        # Memoized tuple(frozenset(bucket)) per degree for the builder
+        # pool (see items_tuple); every mutation invalidates the degrees
+        # it touches.
         self._tuple_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -136,11 +136,11 @@ class DegreeIndex:
     def items_tuple(self, degree: int) -> tuple[int, ...]:
         """Memoized ``tuple(frozenset(...))`` of :meth:`items_of_degree`.
 
-        Element order is exactly the frozenset iteration order the slow
-        builder observes through ``list(items_of_degree(d))`` — the
-        Algorithm-1 pool order that the rng swap-pop picks index into —
-        so the fast builder path stays draw-for-draw identical.  Every
-        mutation invalidates the degrees it touches.
+        Element order is exactly the frozenset iteration order of
+        ``list(items_of_degree(d))`` — the Algorithm-1 pool order that
+        the rng swap-pop picks index into, pinned by the scenario and
+        round-executor goldens.  Every mutation invalidates the degrees
+        it touches.
         """
         cached = self._tuple_cache.get(degree)
         if cached is None:

@@ -183,9 +183,6 @@ class LtncNode:
         generable packets at reception and during decoding (ablation
         knob; the binary-feedback header check is always available
         through :meth:`header_is_innovative`).
-    scan_limit:
-        Optional cap on refinement candidates examined per native; see
-        :mod:`repro.core.refiner`.
     max_degree_retries:
         Redraws of an unreachable degree before clamping to the largest
         reachable one.
@@ -203,7 +200,6 @@ class LtncNode:
         aggressiveness: float = 0.01,
         refine: bool = True,
         detect_redundancy: bool = True,
-        scan_limit: int | None = None,
         max_degree_retries: int = 64,
     ) -> None:
         if k <= 0:
@@ -225,7 +221,6 @@ class LtncNode:
         self.rng = make_rng(rng)
         self.aggressiveness = aggressiveness
         self.refine = refine
-        self.scan_limit = scan_limit
         self.max_degree_retries = max_degree_retries
 
         self.recode_counter = OpCounter()
@@ -243,28 +238,13 @@ class LtncNode:
         )
         self.stats = LtncStats()
         # Decoded natives as a bitmask, maintained from Tanner events
-        # (one int OR per decode); serves the fast header check.
+        # (one int OR per decode); serves the header check.
         self._decoded_mask = 0
-        self._fast_paths = False
         self.decoder.add_listener(_StructureMaintainer(self))
         if detect_redundancy:
             self.decoder.set_drop_policy(self.detector)
         self.innovative_count = 0
         self.redundant_count = 0
-
-    def enable_fast_paths(self) -> None:
-        """Switch on the batched-mode kernels (see ``ROUND_PLAN_VERSION``).
-
-        Called by :class:`~repro.gossip.simulator.EpidemicSimulator`
-        when round batching is active.  Every selected variant — bisect
-        degree sampling, mask-based header reduction, member-set
-        refinement scan — is draw-for-draw, result- and charge-identical
-        to the reference implementation it replaces, pinned by
-        ``tests/test_batch_equivalence.py``.
-        """
-        self._fast_paths = True
-        self.occurrences.enable_fast_mode()
-        self.oracle.enable_fast_mode()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -321,25 +301,16 @@ class LtncNode:
         Gaussian reduction LTNC avoids.
         """
         self.decode_counter.add("table_op")
-        if self._fast_paths:
-            # Clear decoded bits in one int AND instead of extracting
-            # every index; residual bits come out ascending, the same
-            # order indices_list() produces.
-            residual = vector._x & ~self._decoded_mask
-            if residual.bit_count() > 3:
-                return True
-            reduced = []
-            while residual:
-                lsb = residual & -residual
-                reduced.append(lsb.bit_length() - 1)
-                residual ^= lsb
-            return not self.detector.is_redundant_reduced(reduced)
-        is_decoded = self.decoder.is_decoded
-        reduced = [
-            i for i in vector.indices_list() if not is_decoded(i)
-        ]
-        if len(reduced) > 3:
+        # Clear decoded bits in one int AND; residual indices come out
+        # ascending, lowest set bit first.
+        residual = vector._x & ~self._decoded_mask
+        if residual.bit_count() > 3:
             return True
+        reduced = []
+        while residual:
+            lsb = residual & -residual
+            reduced.append(lsb.bit_length() - 1)
+            residual ^= lsb
         return not self.detector.is_redundant_reduced(reduced)
 
     def receive(self, packet: EncodedPacket) -> bool:
@@ -381,11 +352,7 @@ class LtncNode:
 
     def _pick_degree(self) -> int:
         """Draw Robust Soliton degrees until one passes both bounds."""
-        sample = (
-            self.distribution.sample_fast
-            if self._fast_paths
-            else self.distribution.sample
-        )
+        sample = self.distribution.sample
         self.stats.degree_picks += 1
         self.recode_counter.add("rng_draw")
         d = sample(self.rng)
@@ -413,7 +380,6 @@ class LtncNode:
             self.degree_index,
             self.rng,
             self.recode_counter,
-            fast=self._fast_paths,
         )
         if not built.support:
             raise RecodingError(f"builder produced an empty packet (d={d})")
@@ -434,8 +400,6 @@ class LtncNode:
                 self.occurrences,
                 self.decoder.graph,
                 self.recode_counter,
-                scan_limit=self.scan_limit,
-                fast_scan=self._fast_paths,
             )
             if prof is not None:
                 prof.add("refine", time.perf_counter() - t0)

@@ -19,10 +19,7 @@ natives are decoded).
 
 Candidate search walks the occurrence buckets from the global minimum
 upward, so the first native satisfying (1) and (3) in the lowest
-non-empty bucket below ``frequency(x)`` *is* the argmin.  An optional
-``scan_limit`` bounds the number of candidates examined per native —
-an engineering safety valve for adversarial component shapes; the
-default (unbounded) matches the paper.
+non-empty bucket below ``frequency(x)`` *is* the argmin.
 """
 
 from __future__ import annotations
@@ -59,68 +56,31 @@ def _find_replacement(
     support: set[int],
     components: ConnectedComponents,
     occurrences: OccurrenceTracker,
-    counter: OpCounter,
-    scan_limit: int | None,
-) -> tuple[int | None, int]:
+) -> tuple[int | None, int, int, int]:
     """Least-frequent native ``x' ~ x`` with ``freq < freq(x)``, not in z.
 
-    Returns ``(replacement, candidates_examined)`` with ``replacement``
-    ``None`` when no native satisfies all three conditions.
+    Returns ``(replacement, examined, occ_table_ops, leader_lookups)``,
+    with ``replacement`` ``None`` when no native satisfies all three
+    conditions.  The charges are returned rather than added so the
+    caller lands one batched add per counter for the whole Algorithm-2
+    loop:
+
+    * ``examined`` — one ``cc_lookup`` per candidate compared, in
+      bucket order, until the first hit;
+    * ``occ_table_ops`` — the ``frequency(x)`` probe plus one
+      ``table_op`` per count visited: everything in ``[min, count]``
+      (or ``[min, freq(x))`` on a miss), empty counts included;
+    * ``leader_lookups`` — the one ``leader(x)`` read.
+
+    Component membership is tested through the leader's member set
+    (``cc[c] == leader`` iff ``c in members[leader]``, the invariant
+    ``ConnectedComponents.check_invariants`` pins), and a bucket with
+    no member of the component is charged whole without being walked.
     """
-    freq_x = occurrences.frequency(x)
-    if freq_x <= occurrences.min_frequency():
-        return None, 0  # nothing can be strictly less frequent
-    leader = components.leader(x)
-    cc = components.cc
-    examined = 0
-    # One batched "cc_lookup" charge per outcome keeps counter totals
-    # identical to the per-candidate accounting while dropping ~half
-    # the time this inner loop used to spend in OpCounter.add.
-    for _, bucket in occurrences.buckets_below(freq_x):
-        for candidate in bucket:
-            examined += 1
-            if cc[candidate] == leader and candidate not in support:
-                counter.add("cc_lookup", examined)
-                return candidate, examined
-            if scan_limit is not None and examined >= scan_limit:
-                counter.add("cc_lookup", examined)
-                return None, examined
-    counter.add("cc_lookup", examined)
-    return None, examined
-
-
-def _find_replacement_fast(
-    x: int,
-    support: set[int],
-    components: ConnectedComponents,
-    occurrences: OccurrenceTracker,
-) -> tuple[int | None, int, int, int]:
-    """Charge- and result-identical fast scan for batched-mode nodes.
-
-    Same candidate walk as :meth:`_find_replacement` with three swaps
-    that leave every observable untouched:
-
-    * component membership via the leader's member set (``cc[c] ==
-      leader`` iff ``c in members[leader]`` — the invariant
-      ``check_invariants`` pins) instead of a numpy scalar read per
-      candidate;
-    * memoized bucket tuples (:meth:`OccurrenceTracker.bucket_tuple`)
-      in the exact frozenset order the slow generator yields;
-    * charges returned instead of added: ``(replacement, examined,
-      occ_table_ops, leader_lookups)``, so the caller can land one
-      batched add per counter for the whole Algorithm-2 loop.
-      ``occ_table_ops`` merges the ``frequency(x)`` probe with one
-      ``table_op`` per count visited — everything in ``[min, count]``,
-      empty counts included, exactly what ``buckets_below`` charges —
-      and ``examined`` carries the slow path's per-candidate
-      ``cc_lookup`` total.
-
-    Only valid with no ``scan_limit`` (callers fall back otherwise).
-    """
-    freq_x = occurrences._counts_list[x]
+    freq_x = occurrences._counts[x]
     min_count = occurrences._min_count
     if freq_x <= min_count:
-        return None, 0, 1, 0
+        return None, 0, 1, 0  # nothing can be strictly less frequent
     leader = int(components.cc[x])
     if leader == DECODED_LEADER:
         members: set[int] = components._decoded
@@ -134,8 +94,6 @@ def _find_replacement_fast(
             break
         bucket = buckets[count]
         if members.isdisjoint(bucket):
-            # No candidate here can satisfy the component condition; the
-            # slow path would examine (and charge) the whole bucket.
             examined += len(bucket)
             continue
         ordered = cache.get(count)
@@ -178,8 +136,6 @@ def refine_packet(
     occurrences: OccurrenceTracker,
     graph: TannerGraph,
     counter: OpCounter | None = None,
-    scan_limit: int | None = None,
-    fast_scan: bool = False,
 ) -> RefineResult:
     """Apply Algorithm 2 to a freshly built packet.
 
@@ -188,16 +144,16 @@ def refine_packet(
     a substitution happens).  The degree never changes — a class of
     invariants the property tests pin down.
 
-    ``fast_scan`` selects :func:`_find_replacement_fast` (batched-mode
-    nodes); it is ignored when a ``scan_limit`` is set, which only the
-    slow scan implements.
+    The per-native charges of :func:`_find_replacement` land after the
+    loop, one add per counter, on the counters that own them: the
+    tracker's counter for bucket/frequency ``table_op``, the components'
+    counter for the leader lookups (the decode counter on an LTNC node),
+    and *counter* for the per-candidate ``cc_lookup`` examinations.
     """
     counter = counter if counter is not None else OpCounter()
     result = RefineResult(support=support, payload=payload)
-    if fast_scan and scan_limit is None:
-        return _refine_packet_fast(
-            result, components, occurrences, graph, counter
-        )
+    occ_ops = 0
+    leader_lookups = 0
     # Iterate the *original* members in index order (the paper's worked
     # example processes natives by increasing index); substituted-in
     # natives are not re-examined, but they do block later substitutions
@@ -206,49 +162,7 @@ def refine_packet(
         if x not in support:
             continue  # already substituted away by an earlier step
         before = len(support)
-        replacement, examined = _find_replacement(
-            x, support, components, occurrences, counter, scan_limit
-        )
-        result.candidates_examined += examined
-        if replacement is None:
-            continue
-        pair = pair_payload(x, replacement, components, graph, counter)
-        support.discard(x)
-        support.add(replacement)
-        counter.add("vec_word_xor", (components.k + 63) >> 6)
-        result.payload = xor_payloads(result.payload, pair, counter)
-        result.substitutions.append((x, replacement))
-        assert len(support) == before, "substitution changed the degree"
-    result.support = support
-    return result
-
-
-def _refine_packet_fast(
-    result: RefineResult,
-    components: ConnectedComponents,
-    occurrences: OccurrenceTracker,
-    graph: TannerGraph,
-    counter: OpCounter,
-) -> RefineResult:
-    """The batched-mode Algorithm-2 loop: same walk, batched charges.
-
-    The per-native charges returned by :func:`_find_replacement_fast`
-    accumulate locally and land as one add per counter after the loop —
-    the counters are totals-only multisets, so the totals equal the
-    slow path's per-step accounting.  They land on the same counter
-    instances too: the tracker's own counter for bucket/frequency
-    table_ops, the components' counter for the leader lookups (the
-    decode counter on an LTNC node), and the refine *counter* argument
-    for the per-candidate examinations.
-    """
-    support = result.support
-    occ_ops = 0
-    leader_lookups = 0
-    for x in sorted(support):
-        if x not in support:
-            continue  # already substituted away by an earlier step
-        before = len(support)
-        replacement, examined, table_ops, lookups = _find_replacement_fast(
+        replacement, examined, table_ops, lookups = _find_replacement(
             x, support, components, occurrences
         )
         result.candidates_examined += examined

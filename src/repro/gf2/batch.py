@@ -39,8 +39,6 @@ paper-scale profile's ``k = 2048`` lands here).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro.costmodel.counters import OpCounter
@@ -83,8 +81,7 @@ class BatchRref:
 
     Drop-in replacement for :class:`~repro.gf2.matrix.IncrementalRref`
     (same constructor, queries, ``reduce``/``insert``/``decode`` and
-    counter charges), plus :meth:`batch_insert` / :meth:`batch_reduce`
-    for processing word-matrix blocks without per-row conversions.
+    counter charges).
     """
 
     def __init__(
@@ -309,73 +306,6 @@ class BatchRref:
             counter.add("vec_word_xor", n_subs * self._nwords)
             counter.add("payload_xor", n_subs)
         return True
-
-    # ------------------------------------------------------------------
-    # Block API
-    # ------------------------------------------------------------------
-    def _as_word_matrix(
-        self, vectors: Sequence[BitVector] | np.ndarray
-    ) -> np.ndarray:
-        if isinstance(vectors, np.ndarray):
-            matrix = np.ascontiguousarray(vectors, dtype=np.uint64)
-            if matrix.ndim != 2 or matrix.shape[1] != self._nwords:
-                raise DimensionError(
-                    f"word matrix shape {matrix.shape} vs expected "
-                    f"(n, {self._nwords})"
-                )
-            return matrix
-        rows = [_vec_to_words(v, self._nwords) for v in vectors]
-        if not rows:
-            return np.empty((0, self._nwords), dtype=np.uint64)
-        return np.stack(rows)
-
-    def batch_insert(
-        self,
-        vectors: Sequence[BitVector] | np.ndarray,
-        payloads: np.ndarray | None = None,
-    ) -> list[bool]:
-        """Insert a block of rows; returns per-row innovation flags.
-
-        Accepts :class:`BitVector` rows or a ``(n, nwords)`` ``uint64``
-        word matrix.  Equivalent to sequential :meth:`insert` calls
-        (results and charges identical) with the per-row conversion
-        hoisted out of the loop.
-        """
-        matrix = self._as_word_matrix(vectors)
-        if payloads is not None and len(payloads) != len(matrix):
-            raise DimensionError(
-                f"{len(payloads)} payloads for {len(matrix)} rows"
-            )
-        out: list[bool] = []
-        for i in range(len(matrix)):
-            payload = None
-            if payloads is not None:
-                payload = np.asarray(payloads[i], dtype=np.uint8).copy()
-            out.append(self._insert_words(matrix[i], payload))
-        return out
-
-    def batch_reduce(
-        self, vectors: Sequence[BitVector] | np.ndarray
-    ) -> np.ndarray:
-        """Partial residuals of a block of rows, as a word matrix.
-
-        Equivalent to sequential :meth:`reduce` calls (results and
-        charges identical); the basis is not modified.
-        """
-        matrix = self._as_word_matrix(vectors)
-        counter = self.counter
-        out = np.zeros_like(matrix)
-        for i in range(len(matrix)):
-            residual, _, n_lookups, n_xors = self._reduce_words(
-                matrix[i], None
-            )
-            counter.add("table_op", n_lookups)
-            if n_xors:
-                counter.add("gauss_row_xor", n_xors)
-                counter.add("vec_word_xor", n_xors * self._nwords)
-                counter.add("payload_xor", n_xors)
-            out[i] = residual
-        return out
 
     # ------------------------------------------------------------------
     def decode(self) -> list[np.ndarray]:

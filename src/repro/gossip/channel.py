@@ -90,11 +90,11 @@ class ChannelModel:
         Contract (round-plan v1): consumes the fault stream exactly as a
         sequential loop of :meth:`loses` calls would — one draw per
         transfer whose link rate is positive, **no** draw for zero-rate
-        links.  The batched simulator only calls this when the feedback
-        mode and duplicate rate guarantee the scalar path would reach
-        every ``loses`` call (no aborts, no interleaved duplicate
-        draws); the vectorised form below is therefore draw-for-draw
-        identical to the reference loop.
+        links.  The simulator only calls this when the feedback mode
+        and duplicate rate guarantee every session would reach its
+        ``loses`` call (no aborts, no interleaved duplicate draws); the
+        vectorised form below is therefore draw-for-draw identical to a
+        per-session loop.
         """
         rates = [self.loss_for(s, r) for s, r in zip(senders, receivers)]
         positive = [i for i, rate in enumerate(rates) if rate > 0.0]

@@ -7,11 +7,11 @@ the node/source factories, the capability flags, the typed knob schema
 for spec-time validation, the per-scheme experiment defaults and —
 where the paper measures cycles — the Figure-8 cost probe.
 
-The factories reproduce the historic ``repro.gossip.source`` wiring
-bit-for-bit: rng wrapping, constructor argument order and the
-``derive`` labels of the cost probes are unchanged, so seeds keep
-producing byte-identical streams across the registry refactor (the
-``tests/test_schemes.py`` guard pins this).
+The factories reproduce the pre-registry scheme wiring bit-for-bit:
+rng wrapping, constructor argument order and the ``derive`` labels of
+the cost probes are unchanged, so seeds keep producing byte-identical
+streams across the registry refactor (the ``tests/test_schemes.py``
+guard pins this).
 """
 
 from __future__ import annotations
@@ -178,14 +178,6 @@ _LTNC_KNOBS = (
         bool,
         default=True,
         help="Algorithm 3 storage-side redundancy filter",
-    ),
-    Knob(
-        "scan_limit",
-        int,
-        default=None,
-        allow_none=True,
-        minimum=1,
-        help="cap on candidate scans while building a packet",
     ),
     Knob(
         "max_degree_retries",

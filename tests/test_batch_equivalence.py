@@ -1,30 +1,28 @@
-"""Batched execution is invisible: scalar ≡ batched, workers 1 ≡ 4.
+"""The planned round executor is pinned by an exact golden grid.
 
-PR 10's batched round planner and numpy elimination kernel are pure
-execution strategies — the determinism contract says a trial's
-*results* (completion trajectory, metrics, and every OpCounter total)
-are bit-identical whichever path ran it.  This suite pins that
-contract from three directions:
+The simulator has one round executor (the ``ROUND_PLAN_VERSION`` v1
+planner) and one form of each LTNC node kernel.  Before the scalar
+reference loop and the reference kernels were deleted, every config
+below was run through both the reference path and the planned path,
+they agreed, and the sha256 of each run's ``to_dict()`` JSON was
+recorded in ``tests/fixtures/round_golden.json``.  ``to_dict`` embeds
+the recode and decode OpCounter snapshots, so the golden pins the cost
+model, not only the dissemination metrics.
 
-* a hypothesis sweep over simulator configs (feedback modes, loss,
-  duplication, churn) asserting scalar and batched runs serialise to
-  the same JSON — ``DisseminationResult.to_dict`` embeds the recode
-  and decode counter snapshots, so op accounting is covered, not just
-  metrics;
-* the ``large_overlay`` preset (which hard-enables batching) re-run
-  with batching forced off;
-* the batched path under the parallel trial runner: a 1,024-node
-  bounded workload aggregated with 1 worker and with 4 must produce
-  byte-identical aggregate JSON (worker-count invariance does not
-  decay at scale-out sizes).
+The grid: LTNC under feedback NONE/BINARY/FULL x loss {0, 0.1} x
+duplicate {0, 0.15} x churn {0, 0.05} x two seeds; the other built-in
+schemes under lossy, churning channels with and without duplication
+(NONE feedback exercises the hoisted ``delivers_batch`` draws); and the
+``large_overlay`` quick preset.  A further test pins worker-split
+invariance at a 1,024-node overlay.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from pathlib import Path
 
 from repro.experiments.scale import PROFILES
 from repro.gossip.channel import ChannelModel
@@ -32,62 +30,68 @@ from repro.gossip.simulator import EpidemicSimulator, Feedback
 from repro.scenarios import TrialRunner, get_preset
 
 QUICK = PROFILES["quick"]
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "round_golden.json").read_text()
+)["hashes"]
 
 
-def _run_json(batch: str, **kw) -> str:
-    result = EpidemicSimulator(batch_rounds=batch, **kw).run()
-    return json.dumps(result.to_dict(), sort_keys=True)
+def _digest(result) -> str:
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    n_nodes=st.integers(min_value=8, max_value=40),
-    k=st.integers(min_value=4, max_value=24),
-    feedback=st.sampled_from([Feedback.NONE, Feedback.BINARY, Feedback.FULL]),
-    loss=st.sampled_from([0.0, 0.1, 0.25]),
-    duplicate=st.sampled_from([0.0, 0.15]),
-    churn=st.sampled_from([0.0, 0.05]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_scalar_and_batched_runs_are_bit_identical(
-    n_nodes, k, feedback, loss, duplicate, churn, seed
-):
-    kw = dict(
-        scheme="ltnc",
-        n_nodes=n_nodes,
-        k=k,
-        feedback=feedback,
-        seed=seed,
-        max_rounds=300,
-        channel=ChannelModel(
-            loss_rate=loss, duplicate_rate=duplicate, churn_rate=churn
-        ),
-    )
-    assert _run_json("off", **kw) == _run_json("on", **kw)
+def _grid():
+    """``(key, simulator kwargs)`` for every simulator config."""
+    for feedback, loss, dup, churn, seed in itertools.product(
+        ("none", "binary", "full"), (0.0, 0.1), (0.0, 0.15), (0.0, 0.05), (0, 1)
+    ):
+        yield (
+            f"ltnc/{feedback}/loss={loss}/dup={dup}/churn={churn}/seed={seed}",
+            dict(scheme="ltnc", feedback=feedback, loss=loss, dup=dup,
+                 churn=churn, seed=seed, max_rounds=300),
+        )
+    for scheme, feedback, dup in itertools.product(
+        ("wc", "rlnc", "rndlt", "sparse_rlnc"), ("none", "binary"), (0.0, 0.15)
+    ):
+        yield (
+            f"{scheme}/{feedback}/loss=0.1/dup={dup}/churn=0.05/seed=0",
+            dict(scheme=scheme, feedback=feedback, loss=0.1, dup=dup,
+                 churn=0.05, seed=0, max_rounds=100),
+        )
 
 
-def test_large_overlay_preset_is_scalar_identical():
-    spec = get_preset("large_overlay", QUICK)
-    assert spec.batch_rounds == "on"
-    batched = spec.run(seed=2010)
-    scalar = spec.with_(batch_rounds="off").run(seed=2010)
-    assert json.dumps(batched.to_dict(), sort_keys=True) == json.dumps(
-        scalar.to_dict(), sort_keys=True
-    )
+def test_round_executor_matches_golden_grid():
+    keys = [key for key, _ in _grid()]
+    assert set(keys) | {"preset/large_overlay/quick/seed=2010"} == set(GOLDEN)
+    mismatched = []
+    for key, cfg in _grid():
+        result = EpidemicSimulator(
+            cfg["scheme"],
+            n_nodes=20,
+            k=16,
+            feedback=Feedback(cfg["feedback"]),
+            seed=cfg["seed"],
+            max_rounds=cfg["max_rounds"],
+            channel=ChannelModel(
+                loss_rate=cfg["loss"],
+                duplicate_rate=cfg["dup"],
+                churn_rate=cfg["churn"],
+            ),
+        ).run()
+        if _digest(result) != GOLDEN[key]:
+            mismatched.append(key)
+    assert not mismatched
 
 
-def test_batch_rounds_is_not_workload_identity():
-    # The execution strategy must not leak into spec serialisation —
-    # checkpoint fingerprints and aggregate JSON hash the spec.
-    spec = get_preset("large_overlay", QUICK)
-    assert spec.to_json() == spec.with_(batch_rounds="off").to_json()
-    assert "batch_rounds" not in spec.to_dict()
+def test_large_overlay_preset_matches_golden():
+    result = get_preset("large_overlay", QUICK).run(seed=2010)
+    assert _digest(result) == GOLDEN["preset/large_overlay/quick/seed=2010"]
 
 
 def test_worker_split_invariance_at_scale_out_size():
-    # N=1024 under the batched planner, rounds bounded so the test
-    # stays in CI budget; the aggregate (metrics, series, counter
-    # snapshots for every trial) must not depend on the worker split.
+    # N=1024 under the round planner, rounds bounded so the test stays
+    # in CI budget; the aggregate (metrics, series, counter snapshots
+    # for every trial) must not depend on the worker split.
     spec = get_preset("large_overlay", QUICK).with_(
         name="n1024", n_nodes=1024, max_rounds=12
     )

@@ -187,9 +187,7 @@ def _slowed_all(report, factor):
         entry["rounds_per_sec"] /= factor
     slow["fleet"]["trials_per_sec"] /= factor
     for row in slow.get("n_scaling", {}).values():
-        for side in ("scalar", "batched"):
-            if side in row:
-                row[side]["rounds_per_sec"] /= factor
+        row["rounds_per_sec"] /= factor
     return slow
 
 

@@ -6,12 +6,10 @@ and the original numpy-words implementation preserved in
 ``repro.gf2.reference`` — same residuals, same basis, same payload
 algebra, and identical :class:`OpCounter` totals (the cost-model
 contract the Figure-8 benches rely on).  These tests make the claim
-executable three ways:
+executable two ways:
 
 * hypothesis drives random insert / reduce / is_innovative sequences
   through all three kernels in lock-step;
-* the block API (:meth:`batch_insert` / :meth:`batch_reduce`) is pinned
-  equivalent to sequential calls, charges included;
 * :func:`make_rref` heuristic selection is pinned (int kernel below
   :data:`BATCH_RREF_MIN_COLS`, numpy at or above, explicit overrides).
 """
@@ -124,69 +122,6 @@ def test_full_rank_decode_matches_int_kernel():
 
 
 # ----------------------------------------------------------------------
-# Block API
-# ----------------------------------------------------------------------
-def test_batch_insert_equals_sequential_inserts():
-    ncols, nbytes = 80, 12
-    rng = np.random.default_rng(11)
-    c_seq, c_blk = OpCounter(), OpCounter()
-    seq = BatchRref(ncols, payload_nbytes=nbytes, counter=c_seq)
-    blk = BatchRref(ncols, payload_nbytes=nbytes, counter=c_blk)
-    vecs = [_random_vec(rng, ncols)[0] for _ in range(120)]
-    pays = rng.integers(0, 256, size=(len(vecs), nbytes), dtype=np.uint8)
-    res_seq = [seq.insert(v, p.copy()) for v, p in zip(vecs, pays)]
-    res_blk = blk.batch_insert(vecs, pays)
-    assert res_seq == res_blk
-    assert c_seq.counts == c_blk.counts
-    assert [v.key() for v in seq.basis_rows()] == [
-        v.key() for v in blk.basis_rows()
-    ]
-    assert seq.pivot_columns() == blk.pivot_columns()
-
-
-def test_batch_insert_accepts_word_matrix():
-    ncols = 70
-    rng = np.random.default_rng(13)
-    vecs = [_random_vec(rng, ncols)[0] for _ in range(40)]
-    nwords = (ncols + 63) >> 6
-    matrix = np.stack(
-        [
-            np.frombuffer(v._x.to_bytes(nwords * 8, "little"), dtype=np.uint64)
-            for v in vecs
-        ]
-    )
-    a = BatchRref(ncols)
-    b = BatchRref(ncols)
-    assert a.batch_insert(vecs) == b.batch_insert(matrix)
-    assert a.counter.counts == b.counter.counts
-    assert [v.key() for v in a.basis_rows()] == [
-        v.key() for v in b.basis_rows()
-    ]
-
-
-def test_batch_reduce_equals_sequential_reduce():
-    ncols = 64
-    rng = np.random.default_rng(17)
-    c_seq, c_blk = OpCounter(), OpCounter()
-    seq = BatchRref(ncols, counter=c_seq)
-    blk = BatchRref(ncols, counter=c_blk)
-    basis = [_random_vec(rng, ncols)[0] for _ in range(30)]
-    for v in basis:
-        seq.insert(v)
-        blk.insert(v)
-    c_seq.counts.clear()
-    c_blk.counts.clear()
-    probes = [_random_vec(rng, ncols)[0] for _ in range(25)]
-    res_seq = [seq.reduce(v)[0].key() for v in probes]
-    res_blk = [
-        bytes(row.tobytes()) for row in blk.batch_reduce(probes)
-    ]
-    assert res_seq == res_blk
-    assert c_seq.counts == c_blk.counts
-    assert seq.rank == blk.rank  # reduce never mutates
-
-
-# ----------------------------------------------------------------------
 # make_rref heuristic + validation
 # ----------------------------------------------------------------------
 def test_make_rref_picks_kernel_by_code_length():
@@ -214,12 +149,6 @@ def test_batch_rref_validation():
         r.insert(BitVector.from_indices(9, [0]))
     with pytest.raises(DimensionError):
         r.insert(BitVector.from_indices(8, [0]), np.zeros(5, dtype=np.uint8))
-    with pytest.raises(DimensionError):
-        r.batch_insert(np.zeros((3, 7), dtype=np.uint64))
-    with pytest.raises(DimensionError):
-        r.batch_insert(
-            [BitVector.from_indices(8, [0])], np.zeros((2, 4), dtype=np.uint8)
-        )
     with pytest.raises(DecodingError):
         r.decode()
     sym = BatchRref(1)

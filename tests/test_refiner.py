@@ -148,20 +148,6 @@ def test_path_pair_payload_telescopes():
     assert counter.get("payload_xor") == 2  # two packets folded
 
 
-def test_scan_limit_bounds_work():
-    k = 40
-    graph, components = _world(k, [(0, i) for i in range(1, 20)])
-    occ = OccurrenceTracker(k)
-    for _ in range(5):
-        occ.record_sent({0})
-    counter = OpCounter()
-    result = refine_packet(
-        {0}, None, components, occ, graph, counter, scan_limit=1
-    )
-    # With a scan limit of 1 only one candidate may be examined per native.
-    assert result.candidates_examined <= 1
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     k=st.integers(3, 14),
