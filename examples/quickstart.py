@@ -46,7 +46,7 @@ def main() -> None:
           "(drawn from the Robust Soliton)")
 
     # -- 3. a receiver decodes the mixed stream with belief propagation.
-    sink = BeliefPropagationDecoder(K)
+    sink = BeliefPropagationDecoder(K, payload_nbytes=M)
     received = 0
     while not sink.is_complete():
         sink.receive(relay.make_packet() if received % 3 == 0

@@ -15,7 +15,7 @@ Quick start
 >>> k, m = 64, 32
 >>> content = make_content(k, m, rng=7)
 >>> enc = LTEncoder(k, RobustSoliton(k), payloads=content, rng=7)
->>> dec = BeliefPropagationDecoder(k)
+>>> dec = BeliefPropagationDecoder(k, payload_nbytes=m)
 >>> while not dec.is_complete():
 ...     _ = dec.receive(enc.next_packet())
 >>> bool(np.array_equal(dec.recovered_content(), content))

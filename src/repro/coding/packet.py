@@ -2,30 +2,127 @@
 
 A packet is a linear combination over GF(2) of native packets: a *code
 vector* (bitmap of length *k*, shipped in the packet header per §IV-A)
-plus, optionally, the combined *payload* bytes.  The payload is
-optional so the dissemination simulator can run in symbolic mode —
-structure evolves identically, data-plane XORs are counted but not
-executed (see DESIGN.md §3).
+plus, optionally, the combined *payload*.  The payload is optional so
+the dissemination simulator can run in symbolic mode — structure
+evolves identically, data-plane XORs are counted but not executed (see
+DESIGN.md §3).
+
+A payload is an m-byte little-endian Python ``int`` (byte ``j`` of the
+payload is ``(payload >> 8 * j) & 0xFF``), so a data-plane XOR is one
+``^`` and payloads are immutable: nothing needs a defensive copy.  The
+(k, m) uint8 content matrix is the boundary — :func:`native_payloads`
+converts it once, :func:`payload_matrix` converts decoded payloads
+back.  An int XOR cannot notice a width mismatch, so the width is
+checked where payloads enter: at content conversion and at every
+node's ``receive``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError
 from repro.gf2.bitvec import BitVector
+from repro.gf2.matrix import check_payload
 
-__all__ = ["EncodedPacket", "xor_payloads", "make_content", "content_blocks"]
+__all__ = [
+    "EncodedPacket",
+    "NativePayloads",
+    "xor_payloads",
+    "native_payloads",
+    "payload_matrix",
+    "receive_natives",
+    "check_payload",
+    "make_content",
+    "content_blocks",
+]
+
+
+class NativePayloads(tuple):
+    """The *k* native payloads as ints (row *i* is ``x_i``), plus *m*.
+
+    What :func:`native_payloads` returns: one conversion of the content
+    matrix that every source of a simulator (or cluster) shares.
+    """
+
+    nbytes: int
+
+    def __new__(cls, rows: Iterable[int], nbytes: int) -> "NativePayloads":
+        self = super().__new__(cls, rows)
+        self.nbytes = nbytes
+        return self
+
+    def __getnewargs__(self) -> tuple[tuple[int, ...], int]:
+        return tuple(self), self.nbytes
+
+
+def native_payloads(
+    content: "np.ndarray | NativePayloads | None", k: int | None = None
+) -> NativePayloads | None:
+    """Rows of a (k, m) uint8 content matrix as m-byte little-endian ints.
+
+    ``None`` (symbolic mode) and already-converted payloads pass through
+    (after the *k* check), so a caller can convert once and hand the
+    result to every source.  Anything but a 2-D uint8 array with at
+    least one column raises a :class:`~repro.errors.DimensionError`
+    naming its shape.
+    """
+    if content is None:
+        return None
+    if not isinstance(content, NativePayloads):
+        shape = np.shape(content)
+        if (
+            not isinstance(content, np.ndarray)
+            or content.ndim != 2
+            or content.dtype != np.uint8
+            or shape[1] == 0
+        ):
+            dtype = getattr(content, "dtype", type(content).__name__)
+            raise DimensionError(
+                f"content must be a 2-D uint8 (k, m) array, got shape "
+                f"{shape} dtype {dtype}"
+            )
+        rows, m = shape
+        data = memoryview(content.tobytes())
+        content = NativePayloads(
+            (int.from_bytes(data[i : i + m], "little") for i in range(0, rows * m, m)),
+            m,
+        )
+    if k is not None and len(content) != k:
+        raise DimensionError(
+            f"content has shape ({len(content)}, {content.nbytes}), "
+            f"expected k={k} rows"
+        )
+    return content
+
+
+def receive_natives(node, k: int, natives: NativePayloads | None) -> None:
+    """Feed *node* the native packets ``x_0 .. x_{k-1}`` (source preload)."""
+    for i in range(k):
+        payload = natives[i] if natives is not None else None
+        node.receive(EncodedPacket.native(k, i, payload))
+
+
+def payload_matrix(payloads: Sequence[int], m: int) -> np.ndarray:
+    """The (len(payloads), m) uint8 matrix of m-byte int payloads.
+
+    The inverse of :func:`native_payloads`; byte-exact, high zero bytes
+    included.  A payload wider than *m* bytes raises.
+    """
+    buf = bytearray()
+    for p in payloads:
+        buf += p.to_bytes(m, "little")
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(payloads), m)
 
 
 def xor_payloads(
-    a: np.ndarray | None,
-    b: np.ndarray | None,
+    a: int | None,
+    b: int | None,
     counter: OpCounter | None = None,
-) -> np.ndarray | None:
+) -> int | None:
     """XOR two optional payloads, counting one data-plane operation.
 
     The XOR is *counted* even when payloads are absent (symbolic mode),
@@ -34,12 +131,10 @@ def xor_payloads(
     if counter is not None:
         counter.add("payload_xor")
     if a is None:
-        return b.copy() if b is not None else None
+        return b
     if b is None:
-        return a.copy()
-    if a.shape != b.shape:
-        raise DimensionError(f"payload shape mismatch: {a.shape} vs {b.shape}")
-    return np.bitwise_xor(a, b)
+        return a
+    return a ^ b
 
 
 class EncodedPacket:
@@ -51,21 +146,20 @@ class EncodedPacket:
         Code vector of length *k*; bit *i* set iff native packet *i*
         participates in the combination.
     payload:
-        Combined payload bytes, or ``None`` in symbolic mode.
+        Combined payload as an m-byte little-endian int, or ``None`` in
+        symbolic mode.
     """
 
     __slots__ = ("vector", "payload")
 
-    def __init__(
-        self, vector: BitVector, payload: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, vector: BitVector, payload: int | None = None) -> None:
         self.vector = vector
         self.payload = payload
 
     # ------------------------------------------------------------------
     @classmethod
     def native(
-        cls, k: int, index: int, payload: np.ndarray | None = None
+        cls, k: int, index: int, payload: int | None = None
     ) -> "EncodedPacket":
         """Degree-1 packet carrying native packet *index*."""
         return cls(BitVector.from_indices(k, [index]), payload)
@@ -75,18 +169,19 @@ class EncodedPacket:
         cls,
         k: int,
         indices: Iterable[int],
-        payloads: np.ndarray | None = None,
+        payloads: Sequence[int] | None = None,
         counter: OpCounter | None = None,
     ) -> "EncodedPacket":
         """Packet combining the natives at *indices*.
 
-        *payloads* is the full (k, m) native payload matrix or ``None``.
+        *payloads* holds all *k* native payloads (e.g. from
+        :func:`native_payloads`) or is ``None``.
         """
         idx = list(indices)
         vector = BitVector.from_indices(k, idx)
-        payload: np.ndarray | None = None
+        payload: int | None = None
         if payloads is not None and idx:
-            payload = payloads[idx[0]].copy()
+            payload = payloads[idx[0]]
             for i in idx[1:]:
                 payload = xor_payloads(payload, payloads[i], counter)
         elif counter is not None and len(idx) > 1:
@@ -122,11 +217,8 @@ class EncodedPacket:
 
     # ------------------------------------------------------------------
     def copy(self) -> "EncodedPacket":
-        """Deep copy (vector and payload)."""
-        return EncodedPacket(
-            self.vector.copy(),
-            self.payload.copy() if self.payload is not None else None,
-        )
+        """Independent copy; the immutable payload is shared."""
+        return EncodedPacket(self.vector.copy(), self.payload)
 
     def ixor(
         self, other: "EncodedPacket", counter: OpCounter | None = None
@@ -148,11 +240,7 @@ class EncodedPacket:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EncodedPacket):
             return NotImplemented
-        if self.vector != other.vector:
-            return False
-        if self.payload is None or other.payload is None:
-            return self.payload is other.payload
-        return bool(np.array_equal(self.payload, other.payload))
+        return self.vector == other.vector and self.payload == other.payload
 
     def __repr__(self) -> str:
         return (

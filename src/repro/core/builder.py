@@ -45,7 +45,7 @@ class BuildResult:
         Native indices of the built packet (symmetric difference of the
         accepted items' supports).
     payload:
-        Combined payload, or ``None`` in symbolic mode.
+        Combined payload (an int), or ``None`` in symbolic mode.
     target:
         The degree Algorithm 1 was asked for.
     picked:
@@ -56,7 +56,7 @@ class BuildResult:
     """
 
     support: set[int]
-    payload: np.ndarray | None
+    payload: int | None
     target: int
     picked: list[tuple[int, int]] = field(default_factory=list)
     examined: int = 0
@@ -111,7 +111,7 @@ def build_packet(
     counter = counter if counter is not None else OpCounter()
     words = (graph.k + 63) >> 6  # code-vector words an implementation XORs
     support: set[int] = set()
-    payload: np.ndarray | None = None
+    payload: int | None = None
     result = BuildResult(support=support, payload=None, target=d)
     packets = graph.packets
     decoded = graph.decoded
@@ -146,14 +146,11 @@ def build_packet(
             support.symmetric_difference_update(candidate)
             xor_words += words
             # One data-plane XOR per accepted item (counted in symbolic
-            # mode too); the copy keeps stored payloads immutable.
+            # mode too).
             payload_xors += 1
             other = decoded[item] if i == 1 else packets[item].payload
             if other is not None:
-                payload = (
-                    other.copy() if payload is None
-                    else np.bitwise_xor(payload, other)
-                )
+                payload = other if payload is None else payload ^ other
             result.picked.append((i, item))
     counter.add("table_op", table_ops)
     counter.add("rng_draw", rng_draws)

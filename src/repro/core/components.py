@@ -191,14 +191,17 @@ class ConnectedComponents:
             return []
         parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
         queue: deque[int] = deque([x])
+        adj = self._adj
+        lookups = 0  # one cc_lookup per adjacency entry visited
         while queue:
             u = queue.popleft()
-            for v, pids in self._adj.get(u, {}).items():
-                self.counter.add("cc_lookup")
+            for v, pids in adj.get(u, {}).items():
+                lookups += 1
                 if v in parent:
                     continue
                 parent[v] = (u, next(iter(pids)))
                 if v == y:
+                    self.counter.add("cc_lookup", lookups)
                     path: list[int] = []
                     node = y
                     while node != x:
@@ -208,6 +211,7 @@ class ConnectedComponents:
                     path.reverse()
                     return path
                 queue.append(v)
+        self.counter.add("cc_lookup", lookups)
         raise RecodingError(
             f"no degree-2 path between natives {x} and {y}"
         )

@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket, xor_payloads
+from repro.coding.packet import (
+    EncodedPacket,
+    NativePayloads,
+    native_payloads,
+    receive_natives,
+    xor_payloads,
+)
 from repro.core.builder import build_packet
 from repro.core.components import ConnectedComponents
 from repro.core.degree_index import DegreeIndex
@@ -52,14 +58,14 @@ from repro.core.occurrences import OccurrenceTracker
 from repro.core.reachability import ReachabilityOracle
 from repro.core.redundancy import RedundancyDetector
 from repro.core.refiner import pair_payload, refine_packet
-from repro.core.support_index import SupportIndex
+from repro.core.support_index import INDEXED_MAX_DEGREE, SupportIndex
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.bitvec import BitVector
 from repro.lt.decoder import BeliefPropagationDecoder
 from repro.lt.distributions import DegreeDistribution, RobustSoliton
 from repro.lt.tanner import TannerListener
-from repro.obs import profiler as _obs_profiler
+from repro.obs.profiler import PhaseProfiler
 from repro.rng import make_rng
 
 __all__ = ["LtncStats", "LtncNode"]
@@ -137,11 +143,15 @@ class _StructureMaintainer(TannerListener):
 
     def on_packet_degree_changed(self, pid: int, support: set[int]) -> None:
         node = self.node
-        node.degree_index.update_packet(pid, len(support))
-        node.support_index.update(pid, support)
-        if len(support) == 2:
-            a, b = support
-            node.components.add_edge(pid, a, b)
+        degree = len(support)
+        node.degree_index.update_packet(pid, degree)
+        # Degrees only fall, so a packet above the indexed degree was
+        # never indexed and the re-index would be a charge-free no-op.
+        if degree <= INDEXED_MAX_DEGREE:
+            node.support_index.update(pid, support)
+            if degree == 2:
+                a, b = support
+                node.components.add_edge(pid, a, b)
 
     def on_packet_removed(self, pid: int, reason: str) -> None:
         node = self.node
@@ -186,6 +196,10 @@ class LtncNode:
     max_degree_retries:
         Redraws of an unreachable degree before clamping to the largest
         reachable one.
+
+    The ``profiler`` attribute is the phase-profiling hook
+    (:mod:`repro.obs`): ``None`` except while a profiled simulator owns
+    the node, which then charges Algorithm-2 refinement to it.
     """
 
     scheme = "ltnc"
@@ -225,7 +239,9 @@ class LtncNode:
 
         self.recode_counter = OpCounter()
         self.decode_counter = OpCounter()
-        self.decoder = BeliefPropagationDecoder(k, counter=self.decode_counter)
+        self.decoder = BeliefPropagationDecoder(
+            k, counter=self.decode_counter, payload_nbytes=payload_nbytes
+        )
         self.degree_index = DegreeIndex(k, counter=self.decode_counter)
         self.components = ConnectedComponents(k, counter=self.decode_counter)
         self.support_index = SupportIndex(counter=self.decode_counter)
@@ -245,29 +261,31 @@ class LtncNode:
             self.decoder.set_drop_policy(self.detector)
         self.innovative_count = 0
         self.redundant_count = 0
+        self.profiler: PhaseProfiler | None = None
 
     # ------------------------------------------------------------------
     @classmethod
     def as_source(
         cls,
         k: int,
-        content: np.ndarray | None = None,
+        content: np.ndarray | NativePayloads | None = None,
         rng: np.random.Generator | int | None = None,
         node_id: int = -1,
         **kwargs: object,
     ) -> "LtncNode":
         """A node holding all *k* natives decoded — the content source.
 
-        Recoding at such a node degenerates to classic LT encoding from
-        natives (Algorithm 1 only ever picks from ``S[1]``) followed by
-        refinement, which balances native usage — exactly the behaviour
-        the paper expects of the source.
+        *content* is the (k, m) uint8 matrix, or its
+        :func:`~repro.coding.packet.native_payloads` conversion when
+        several sources share one.  Recoding at such a node degenerates
+        to classic LT encoding from natives (Algorithm 1 only ever picks
+        from ``S[1]``) followed by refinement, which balances native
+        usage — exactly the behaviour the paper expects of the source.
         """
-        m = int(content.shape[1]) if content is not None else None
+        natives = native_payloads(content, k)
+        m = natives.nbytes if natives is not None else None
         node = cls(node_id, k, payload_nbytes=m, rng=rng, **kwargs)  # type: ignore[arg-type]
-        for i in range(k):
-            payload = content[i] if content is not None else None
-            node.receive(EncodedPacket.native(k, i, payload))
+        receive_natives(node, k, natives)
         return node
 
     # ------------------------------------------------------------------
@@ -389,9 +407,9 @@ class LtncNode:
         self.stats.deviation_sum += built.relative_deviation
         support, payload = built.support, built.payload
         if self.refine:
-            # Phase-profiling hook (repro.obs): None except during a
-            # profiled run, so the disabled cost is one attribute read.
-            prof = _obs_profiler.REFINE_PROFILER
+            # Phase-profiling hook: None except during a profiled run,
+            # so the disabled cost is one attribute read.
+            prof = self.profiler
             t0 = time.perf_counter() if prof is not None else 0.0
             refined = refine_packet(
                 support,
@@ -435,7 +453,7 @@ class LtncNode:
         return self._finish_packet({x, y}, payload)
 
     def _finish_packet(
-        self, support: set[int], payload: np.ndarray | None
+        self, support: set[int], payload: int | None
     ) -> EncodedPacket:
         """Record statistics and wrap the support/payload for the wire."""
         self.occurrences.record_sent(support)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.coding.packet import xor_payloads
 from repro.core.components import DECODED_LEADER, ConnectedComponents
 from repro.core.occurrences import OccurrenceTracker
@@ -42,7 +40,7 @@ class RefineResult:
     """Outcome of one Algorithm-2 run over a built packet."""
 
     support: set[int]
-    payload: np.ndarray | None
+    payload: int | None
     substitutions: list[tuple[int, int]] = field(default_factory=list)
     candidates_examined: int = 0
 
@@ -106,32 +104,48 @@ def _find_replacement(
     return None, examined, freq_x - min_count + 1, 1
 
 
+def _pair_payload(
+    x: int,
+    y: int,
+    components: ConnectedComponents,
+    graph: TannerGraph,
+) -> tuple[int | None, int]:
+    """Payload of ``x ^ y`` and the number of payload XORs it took."""
+    if int(components.cc[x]) == DECODED_LEADER:
+        return xor_payloads(graph.decoded[x], graph.decoded[y]), 1
+    pids = components.path_pids(x, y)
+    packets = graph.packets
+    combined: int | None = None
+    for pid in pids:
+        p = packets[pid].payload
+        if p is not None:
+            combined = p if combined is None else combined ^ p
+    return combined, len(pids)
+
+
 def pair_payload(
     x: int,
     y: int,
     components: ConnectedComponents,
     graph: TannerGraph,
     counter: OpCounter,
-) -> np.ndarray | None:
+) -> int | None:
     """Payload of ``x ^ y`` for two equivalent natives (``x ~ y``).
 
     Decoded pairs combine their decoded values; undecoded pairs XOR the
     stored degree-2 packets along a component path (telescoping to
-    ``x ^ y``).  Every XOR is a data-plane operation and is counted.
-    Also used by the Algorithm-4 smart construction to materialize its
-    degree-2 packets.
+    ``x ^ y``).  Every XOR is a data-plane operation and is counted,
+    in one add per call.  Also used by the Algorithm-4 smart
+    construction to materialize its degree-2 packets.
     """
-    if int(components.cc[x]) == DECODED_LEADER:
-        return xor_payloads(graph.decoded[x], graph.decoded[y], counter)
-    combined: np.ndarray | None = None
-    for pid in components.path_pids(x, y):
-        combined = xor_payloads(combined, graph.packets[pid].payload, counter)
-    return combined
+    payload, xors = _pair_payload(x, y, components, graph)
+    counter.add("payload_xor", xors)
+    return payload
 
 
 def refine_packet(
     support: set[int],
-    payload: np.ndarray | None,
+    payload: int | None,
     components: ConnectedComponents,
     occurrences: OccurrenceTracker,
     graph: TannerGraph,
@@ -139,21 +153,22 @@ def refine_packet(
 ) -> RefineResult:
     """Apply Algorithm 2 to a freshly built packet.
 
-    The input ``support``/``payload`` are consumed (mutated in place for
-    the support; the payload array is XOR-ed into a fresh copy only when
-    a substitution happens).  The degree never changes — a class of
-    invariants the property tests pin down.
+    The input ``support`` is consumed (mutated in place); the payload
+    is rebound to ``payload ^ pair`` per substitution.  The degree
+    never changes — a class of invariants the property tests pin down.
 
     The per-native charges of :func:`_find_replacement` land after the
     loop, one add per counter, on the counters that own them: the
     tracker's counter for bucket/frequency ``table_op``, the components'
     counter for the leader lookups (the decode counter on an LTNC node),
-    and *counter* for the per-candidate ``cc_lookup`` examinations.
+    and *counter* for the per-candidate ``cc_lookup`` examinations and
+    the substitutions' vector and payload XORs.
     """
     counter = counter if counter is not None else OpCounter()
     result = RefineResult(support=support, payload=payload)
     occ_ops = 0
     leader_lookups = 0
+    payload_xors = 0
     # Iterate the *original* members in index order (the paper's worked
     # example processes natives by increasing index); substituted-in
     # natives are not re-examined, but they do block later substitutions
@@ -170,14 +185,17 @@ def refine_packet(
         leader_lookups += lookups
         if replacement is None:
             continue
-        pair = pair_payload(x, replacement, components, graph, counter)
+        pair, xors = _pair_payload(x, replacement, components, graph)
         support.discard(x)
         support.add(replacement)
-        counter.add("vec_word_xor", (components.k + 63) >> 6)
-        result.payload = xor_payloads(result.payload, pair, counter)
+        result.payload = xor_payloads(result.payload, pair)
+        payload_xors += xors + 1
         result.substitutions.append((x, replacement))
         assert len(support) == before, "substitution changed the degree"
     occurrences.counter.add("table_op", occ_ops)
     components.counter.add("cc_lookup", leader_lookups)
     counter.add("cc_lookup", result.candidates_examined)
+    n_subs = len(result.substitutions)
+    counter.add("vec_word_xor", n_subs * ((components.k + 63) >> 6))
+    counter.add("payload_xor", payload_xors)
     return result

@@ -12,7 +12,7 @@ degree 3) and degree-1 availability is the decoded set.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.costmodel.counters import OpCounter
 
@@ -34,16 +34,16 @@ class SupportIndex:
         self._key_of: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
-    def add(self, pid: int, support: Iterable[int]) -> None:
+    def add(self, pid: int, support: Collection[int]) -> None:
         """Index *pid* if its support is small enough; no-op otherwise."""
-        key = _key(support)
-        if len(key) > INDEXED_MAX_DEGREE:
+        if len(support) > INDEXED_MAX_DEGREE:
             return
+        key = _key(support)
         self._key_of[pid] = key
         self._pids_of.setdefault(key, set()).add(pid)
         self.counter.add("table_op")
 
-    def update(self, pid: int, support: Iterable[int]) -> None:
+    def update(self, pid: int, support: Collection[int]) -> None:
         """Re-index *pid* after its support was reduced.
 
         Handles every transition: large -> large (stays unindexed),

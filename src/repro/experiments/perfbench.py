@@ -272,7 +272,10 @@ def bench_decode(k: int, n_batches: int, seed: int) -> dict[str, float]:
             while not rref.is_full_rank():
                 bits = rng.random(k) < 0.5
                 payload = rng.integers(0, 256, size=m, dtype=np.uint8)
-                rref.insert(BitVector.from_bits(bits), payload)
+                rref.insert(
+                    BitVector.from_bits(bits),
+                    int.from_bytes(payload.tobytes(), "little"),
+                )
                 fed += 1
             rref.decode()
         return fed

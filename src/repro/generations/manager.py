@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import EncodedPacket, NativePayloads, native_payloads
 from repro.core.node import LtncNode
 from repro.errors import DimensionError, RecodingError
 from repro.lt.distributions import RobustSoliton
@@ -98,9 +98,14 @@ class GenerationSource:
         self.schedule = schedule
         self.rng = make_rng(rng)
         rngs = spawn(self.rng, len(self.bounds))
+        natives = native_payloads(content, k_total)
         self.sources: list[LtncNode] = []
         for gen, (start, size) in enumerate(self.bounds):
-            chunk = content[start : start + size] if content is not None else None
+            chunk = (
+                NativePayloads(natives[start : start + size], natives.nbytes)
+                if natives is not None
+                else None
+            )
             self.sources.append(
                 LtncNode.as_source(size, chunk, rng=rngs[gen], node_id=-1)
             )

@@ -44,7 +44,7 @@ import numpy as np
 from repro.costmodel.counters import OpCounter
 from repro.errors import DecodingError, DimensionError
 from repro.gf2.bitvec import BitVector
-from repro.gf2.matrix import IncrementalRref
+from repro.gf2.matrix import IncrementalRref, check_payload
 
 __all__ = ["BATCH_RREF_MIN_COLS", "BatchRref", "make_rref"]
 
@@ -81,7 +81,9 @@ class BatchRref:
 
     Drop-in replacement for :class:`~repro.gf2.matrix.IncrementalRref`
     (same constructor, queries, ``reduce``/``insert``/``decode`` and
-    counter charges).
+    counter charges).  Payloads are ints at the interface, like
+    everywhere else; this kernel keeps them as rows of one uint8 matrix
+    and converts at ``reduce``, ``insert`` and ``decode``.
     """
 
     def __init__(
@@ -139,6 +141,13 @@ class BatchRref:
         bits = np.unpackbits(masked.view(np.uint8), bitorder="little")
         return np.flatnonzero(bits)
 
+    def _payload_row(self, payload: int) -> np.ndarray:
+        """An int payload as a writable uint8 row."""
+        return np.frombuffer(
+            bytearray(payload.to_bytes(self.payload_nbytes, "little")),
+            dtype=np.uint8,
+        )
+
     def _reduce_words(
         self, words: np.ndarray, payload: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
@@ -179,8 +188,8 @@ class BatchRref:
         return residual, payload, n_lookups, n_xors
 
     def reduce(
-        self, vec: BitVector, payload: np.ndarray | None = None
-    ) -> tuple[BitVector, np.ndarray | None]:
+        self, vec: BitVector, payload: int | None = None
+    ) -> tuple[BitVector, int | None]:
         """Reduce (vec, payload) against the basis; inputs untouched.
 
         Same partial-reduction contract (and charges) as
@@ -192,19 +201,21 @@ class BatchRref:
                 f"vector of length {vec.nbits} vs ncols {self.ncols}"
             )
         words = _vec_to_words(vec, self._nwords)
-        res_payload = payload.copy() if payload is not None else None
-        residual, res_payload, n_lookups, n_xors = self._reduce_words(
-            words, res_payload
-        )
+        row = None
+        if payload is not None and self._payload_rows is not None:
+            row = self._payload_row(payload)
+        residual, row, n_lookups, n_xors = self._reduce_words(words, row)
         counter = self.counter
         counter.add("table_op", n_lookups)
         if n_xors:
             counter.add("gauss_row_xor", n_xors)
             counter.add("vec_word_xor", n_xors * self._nwords)
             counter.add("payload_xor", n_xors)
+        if row is not None:
+            payload = int.from_bytes(row.tobytes(), "little")
         return (
             BitVector._from_int(self.ncols, _words_to_int(residual)),
-            res_payload,
+            payload,
         )
 
     def contains(self, vec: BitVector) -> bool:
@@ -217,25 +228,18 @@ class BatchRref:
         return not self.contains(vec)
 
     # ------------------------------------------------------------------
-    def insert(
-        self, vec: BitVector, payload: np.ndarray | None = None
-    ) -> bool:
+    def insert(self, vec: BitVector, payload: int | None = None) -> bool:
         """Insert a row; returns True iff it was innovative."""
-        if self.payload_nbytes is not None and payload is not None:
-            payload = np.asarray(payload, dtype=np.uint8)
-            if payload.shape != (self.payload_nbytes,):
-                raise DimensionError(
-                    f"payload shape {payload.shape} vs "
-                    f"expected ({self.payload_nbytes},)"
-                )
+        check_payload(payload, self.payload_nbytes)
         if vec.nbits != self.ncols:
             raise DimensionError(
                 f"vector of length {vec.nbits} vs ncols {self.ncols}"
             )
         words = _vec_to_words(vec, self._nwords)
-        return self._insert_words(
-            words, payload.copy() if payload is not None else None
-        )
+        row = None
+        if payload is not None and self._payload_rows is not None:
+            row = self._payload_row(payload)
+        return self._insert_words(words, row)
 
     def _insert_words(
         self, words: np.ndarray, res_payload: np.ndarray | None
@@ -308,7 +312,7 @@ class BatchRref:
         return True
 
     # ------------------------------------------------------------------
-    def decode(self) -> list[np.ndarray]:
+    def decode(self) -> list[int]:
         """Native payloads in index order; requires full rank + payloads."""
         if not self.is_full_rank():
             raise DecodingError(
@@ -316,16 +320,13 @@ class BatchRref:
             )
         if self.payload_nbytes is None:
             raise DecodingError("symbolic mode: no payloads to decode")
-        out: list[np.ndarray | None] = [None] * self.ncols
+        out: list[int] = [0] * self.ncols
         weights = np.bitwise_count(self._basis[: self._rank]).sum(axis=1)
         if int(weights.max(initial=1)) != 1:  # pragma: no cover - invariant
             raise DecodingError("basis not fully reduced at full rank")
         for i, col in enumerate(self._pivot_cols):
-            out[col] = self._payload_rows[i].copy()
-        return [
-            p if p is not None else np.zeros(self.payload_nbytes, np.uint8)
-            for p in out
-        ]
+            out[col] = int.from_bytes(self._payload_rows[i].tobytes(), "little")
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BatchRref(ncols={self.ncols}, rank={self._rank})"

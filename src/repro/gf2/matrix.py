@@ -37,7 +37,24 @@ from repro.costmodel.counters import OpCounter
 from repro.errors import DecodingError, DimensionError
 from repro.gf2.bitvec import BitVector
 
-__all__ = ["GF2Matrix", "IncrementalRref"]
+__all__ = ["GF2Matrix", "IncrementalRref", "check_payload"]
+
+
+def check_payload(payload: int | None, nbytes: int | None) -> None:
+    """Raise unless int *payload* fits in *nbytes* bytes (``None`` skips).
+
+    An int XOR cannot notice a width mismatch the way an array shape
+    check did, so every place a payload enters checks its width.
+    """
+    if (
+        payload is not None
+        and nbytes is not None
+        and payload.bit_length() > 8 * nbytes
+    ):
+        raise DimensionError(
+            f"payload of {(payload.bit_length() + 7) // 8} bytes "
+            f"exceeds m={nbytes}"
+        )
 
 
 class GF2Matrix:
@@ -130,9 +147,10 @@ class IncrementalRref:
         Width of the vectors (the code length *k*).
     payload_nbytes:
         If not ``None``, each inserted row carries an ``m``-byte payload
-        and payload rows are XOR-ed alongside vector rows, so decoding
-        produces the native packets.  ``None`` runs in symbolic mode
-        (vectors only; payload XORs are still *counted*).
+        (an int, see :mod:`repro.coding.packet`) and payload rows are
+        XOR-ed alongside vector rows, so decoding produces the native
+        packets.  ``None`` runs in symbolic mode (vectors only; payload
+        XORs are still *counted*).
     counter:
         Destination for cost accounting; a private counter is created
         when omitted.
@@ -154,7 +172,7 @@ class IncrementalRref:
         # bitmask with bit c set iff column c is a pivot column
         self._pivot_mask: int = 0
         self._rows: list[BitVector] = []
-        self._payloads: list[np.ndarray | None] = []
+        self._payloads: list[int | None] = []
         self._pivot_cols: list[int] = []
 
     # ------------------------------------------------------------------
@@ -179,9 +197,9 @@ class IncrementalRref:
     def _xor_row(
         self,
         vec: BitVector,
-        payload: np.ndarray | None,
+        payload: int | None,
         row_idx: int,
-    ) -> np.ndarray | None:
+    ) -> int | None:
         """XOR basis row *row_idx* into (vec, payload), with accounting."""
         vec._x ^= self._rows[row_idx]._x
         counter = self.counter
@@ -190,13 +208,12 @@ class IncrementalRref:
         counter.add("payload_xor")
         other = self._payloads[row_idx]
         if payload is not None and other is not None:
-            payload = payload.copy() if payload.base is not None else payload
-            np.bitwise_xor(payload, other, out=payload)
+            payload ^= other
         return payload
 
     def reduce(
-        self, vec: BitVector, payload: np.ndarray | None = None
-    ) -> tuple[BitVector, np.ndarray | None]:
+        self, vec: BitVector, payload: int | None = None
+    ) -> tuple[BitVector, int | None]:
         """Reduce (vec, payload) against the basis; inputs untouched.
 
         Returns the residual vector (zero iff *vec* is in the span) and
@@ -206,7 +223,7 @@ class IncrementalRref:
             raise DimensionError(
                 f"vector of length {vec.nbits} vs ncols {self.ncols}"
             )
-        res_payload = payload.copy() if payload is not None else None
+        res_payload = payload
         x = vec._x
         pivot_mask = self._pivot_mask
         pivot_of_col = self._pivot_of_col
@@ -227,7 +244,7 @@ class IncrementalRref:
             n_xors += 1
             other = payloads[row_idx]
             if res_payload is not None and other is not None:
-                np.bitwise_xor(res_payload, other, out=res_payload)
+                res_payload ^= other
         counter = self.counter
         counter.add("table_op", n_lookups)
         if n_xors:
@@ -245,22 +262,15 @@ class IncrementalRref:
         """True iff inserting *vec* would increase the rank."""
         return not self.contains(vec)
 
-    def insert(
-        self, vec: BitVector, payload: np.ndarray | None = None
-    ) -> bool:
+    def insert(self, vec: BitVector, payload: int | None = None) -> bool:
         """Insert a row; returns True iff it was innovative.
 
         Keeps the basis in *reduced* echelon form: after the forward
         reduction of the new row, every existing row containing the new
-        pivot column is back-substituted.
+        pivot column is back-substituted.  A payload wider than
+        ``payload_nbytes`` bytes raises.
         """
-        if self.payload_nbytes is not None and payload is not None:
-            payload = np.asarray(payload, dtype=np.uint8)
-            if payload.shape != (self.payload_nbytes,):
-                raise DimensionError(
-                    f"payload shape {payload.shape} vs "
-                    f"expected ({self.payload_nbytes},)"
-                )
+        check_payload(payload, self.payload_nbytes)
         residual, res_payload = self.reduce(vec, payload)
         lead = residual.first_index()
         if lead < 0:
@@ -292,7 +302,7 @@ class IncrementalRref:
                 n_subs += 1
                 p = payloads[i]
                 if p is not None and res_payload is not None:
-                    np.bitwise_xor(p, res_payload, out=p)
+                    payloads[i] = p ^ res_payload
         if n_subs:
             counter.add("gauss_row_xor", n_subs)
             counter.add("vec_word_xor", n_subs * ((self.ncols + 63) >> 6))
@@ -319,7 +329,7 @@ class IncrementalRref:
         return self._pivot_of_col[low.bit_length() - 1]
 
     # ------------------------------------------------------------------
-    def decode(self) -> list[np.ndarray]:
+    def decode(self) -> list[int]:
         """Native payloads in index order; requires full rank + payloads.
 
         In reduced echelon form at full rank every basis row is a unit
@@ -331,15 +341,15 @@ class IncrementalRref:
             )
         if self.payload_nbytes is None:
             raise DecodingError("symbolic mode: no payloads to decode")
-        out: list[np.ndarray | None] = [None] * self.ncols
+        out: list[int] = [0] * self.ncols
         for row, col, payload in zip(
             self._rows, self._pivot_cols, self._payloads
         ):
             if row.weight() != 1:  # pragma: no cover - RREF invariant
                 raise DecodingError("basis not fully reduced at full rank")
-            out[col] = payload
-        return [p if p is not None else np.zeros(self.payload_nbytes, np.uint8)
-                for p in out]
+            if payload is not None:
+                out[col] = payload
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IncrementalRref(ncols={self.ncols}, rank={self.rank})"

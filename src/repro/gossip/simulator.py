@@ -30,6 +30,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.coding.packet import native_payloads
 from repro.errors import SimulationError
 from repro.gossip.channel import ChannelModel
 from repro.gossip.metrics import DisseminationResult
@@ -39,7 +40,7 @@ from repro.obs.metrics import (
     VOLUME_BOUNDARIES,
     MetricsCollector,
 )
-from repro.obs.profiler import PhaseProfiler, set_refine_profiler
+from repro.obs.profiler import PhaseProfiler
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NULL_TRACER, node_rank
 from repro.rng import derive, make_rng, spawn
@@ -119,9 +120,10 @@ class EpidemicSimulator:
     k:
         Code length.
     content:
-        Optional ``(k, m)`` payload matrix.  ``None`` runs in symbolic
-        mode: all structure evolves identically, data XORs are counted
-        but not executed (DESIGN.md §3) — the mode benches use.
+        Optional ``(k, m)`` uint8 payload matrix, converted to int
+        payloads once and shared by every source.  ``None`` runs in
+        symbolic mode: all structure evolves identically, data XORs are
+        counted but not executed (DESIGN.md §3) — the mode benches use.
     feedback:
         Transport capability; the paper's evaluation uses BINARY.
     source_pushes:
@@ -151,8 +153,10 @@ class EpidemicSimulator:
         Optional :class:`repro.obs.profiler.PhaseProfiler`; when given,
         the run charges per-phase wall times (sampling / channel /
         encode / decode / refine) through ``perf_counter`` brackets in
-        the one round executor.  The brackets read no rng and change no
-        state; disabled, each is a ``None`` check.
+        the one round executor, and every node with a ``profiler``
+        attribute (LTNC's refine hook) — sources and churn replacements
+        included — charges this profiler.  The brackets read no rng and
+        change no state; disabled, each is a ``None`` check.
     metrics:
         Optional :class:`repro.obs.metrics.MetricsCollector`; the run
         records its mergeable telemetry (counters, gauges, histograms)
@@ -202,7 +206,8 @@ class EpidemicSimulator:
         self.max_rounds = max_rounds
         master = make_rng(seed)
         rngs = spawn(master, n_nodes + 2)
-        payload_nbytes = int(content.shape[1]) if content is not None else None
+        content = native_payloads(content, k)
+        payload_nbytes = content.nbytes if content is not None else None
         self.sources: list[SchemeNode] = [
             self.coding_scheme.make_source(
                 k, content, rng=rngs[0], **(source_kwargs or {})
@@ -254,6 +259,8 @@ class EpidemicSimulator:
         # per planned run.  Round-level trace events fire either way.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler
+        for node in self.sources + self.nodes:
+            self._attach_profiler(node)
         self.metrics = metrics
         self._trace = bool(self.tracer.enabled)
         self._trace_sessions = self._trace and self.tracer.detail == "session"
@@ -280,6 +287,11 @@ class EpidemicSimulator:
             ),
             0,
         )
+
+    def _attach_profiler(self, node: SchemeNode) -> None:
+        """Point a node's refine hook at this run's profiler, if any."""
+        if self.profiler is not None and hasattr(node, "profiler"):
+            node.profiler = self.profiler
 
     @property
     def source(self) -> SchemeNode:
@@ -426,6 +438,7 @@ class EpidemicSimulator:
             ),
             **self._node_kwargs,
         )
+        self._attach_profiler(self.nodes[victim])
         self._data_received[victim] = 0
         self._sendable.discard(victim)
 
@@ -594,10 +607,6 @@ class EpidemicSimulator:
         result = self.result
         profiler = self.profiler
         spans = SpanRecorder(tracer) if trace else None
-        if profiler is not None:
-            # Refinement happens too deep inside LTNC recoding for the
-            # simulator to bracket; charge it through the module hook.
-            set_refine_profiler(profiler)
         try:
             if spans is not None:
                 spans.begin("run", scheme=self.scheme)
@@ -623,8 +632,6 @@ class EpidemicSimulator:
                 if profiler is not None:
                     tracer.event("phases", phases=profiler.snapshot())
         finally:
-            if profiler is not None:
-                set_refine_profiler(None)
             tracer.close()
         return result
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket, xor_payloads
+from repro.coding.packet import EncodedPacket, check_payload, payload_matrix
 from repro.costmodel.counters import OpCounter
 from repro.errors import DecodingError
 from repro.lt.tanner import DropPolicy, TannerGraph, TannerListener
@@ -59,6 +59,10 @@ class BeliefPropagationDecoder:
     drop_policy:
         Optional §III-C1 redundancy filter applied to packets whose
         (residual) degree is <= 3 at reception or during decoding.
+    payload_nbytes:
+        Payload size *m*: received payloads wider than *m* bytes are
+        rejected, and :meth:`recovered_content` needs it to lay the
+        int payloads out as bytes.  ``None`` skips the width check.
     """
 
     def __init__(
@@ -66,7 +70,9 @@ class BeliefPropagationDecoder:
         k: int,
         counter: OpCounter | None = None,
         drop_policy: DropPolicy | None = None,
+        payload_nbytes: int | None = None,
     ) -> None:
+        self.payload_nbytes = payload_nbytes
         self.counter = counter if counter is not None else OpCounter()
         self.graph = TannerGraph(k, counter=self.counter)
         self.graph.drop_policy = drop_policy
@@ -106,22 +112,23 @@ class BeliefPropagationDecoder:
             raise DecodingError(
                 f"packet for k={packet.k} fed to decoder with k={self.k}"
             )
+        payload = packet.payload
+        check_payload(payload, self.payload_nbytes)
         self.received += 1
         support = packet.support()
-        payload = (
-            packet.payload.copy() if packet.payload is not None else None
-        )
         # Reduce against decoded natives (each removal is one edge that
-        # never enters the graph, but still an XOR on the data plane).
-        graph = self.graph
-        is_decoded = graph.is_decoded
-        counter = self.counter
-        for idx in [i for i in support if is_decoded(i)]:
-            support.discard(idx)
-            payload = xor_payloads(
-                payload, graph.native_payload(idx), counter
-            )
-            counter.add("table_op")
+        # never enters the graph, but still an XOR on the data plane,
+        # and one table_op).
+        decoded = self.graph.decoded
+        hits = [i for i in support if i in decoded]
+        if hits:
+            for idx in hits:
+                support.discard(idx)
+                value = decoded[idx]
+                if value is not None:
+                    payload = value if payload is None else payload ^ value
+            self.counter.add("payload_xor", len(hits))
+            self.counter.add("table_op", len(hits))
         if not support:
             self.redundant_received += 1
             return ReceiveOutcome(redundant=True)
@@ -133,7 +140,7 @@ class BeliefPropagationDecoder:
         return ReceiveOutcome(stored_pid=pid, decoded=decoded)
 
     # ------------------------------------------------------------------
-    def native_payload(self, index: int) -> np.ndarray | None:
+    def native_payload(self, index: int) -> int | None:
         """Payload of native *index* (DecodingError if not decoded)."""
         if not self.graph.is_decoded(index):
             raise DecodingError(f"native {index} not decoded yet")
@@ -148,7 +155,9 @@ class BeliefPropagationDecoder:
         payloads = [self.graph.native_payload(i) for i in range(self.k)]
         if any(p is None for p in payloads):
             raise DecodingError("symbolic mode: no payload bytes to return")
-        return np.stack(payloads)  # type: ignore[arg-type]
+        if self.payload_nbytes is None:
+            raise DecodingError("payload size m unknown: pass payload_nbytes")
+        return payload_matrix(payloads, self.payload_nbytes)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import EncodedPacket, NativePayloads, native_payloads
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError
 from repro.gf2.bitvec import BitVector
@@ -37,8 +37,9 @@ class LTEncoder:
         Degree distribution for encoded packets (normally
         :class:`~repro.lt.distributions.RobustSoliton`).
     payloads:
-        Optional ``(k, m)`` uint8 matrix of native payloads; omit for
-        symbolic mode.
+        Optional ``(k, m)`` uint8 matrix of native payloads (or its
+        :func:`~repro.coding.packet.native_payloads` conversion); omit
+        for symbolic mode.
     rng:
         Seed or generator for degree and neighbour draws.
     balanced:
@@ -53,7 +54,7 @@ class LTEncoder:
         self,
         k: int,
         distribution: DegreeDistribution,
-        payloads: np.ndarray | None = None,
+        payloads: np.ndarray | NativePayloads | None = None,
         rng: np.random.Generator | int | None = None,
         balanced: bool = False,
         counter: OpCounter | None = None,
@@ -64,15 +65,9 @@ class LTEncoder:
             raise DimensionError(
                 f"distribution is for k={distribution.k}, encoder for k={k}"
             )
-        if payloads is not None:
-            payloads = np.asarray(payloads, dtype=np.uint8)
-            if payloads.ndim != 2 or payloads.shape[0] != k:
-                raise DimensionError(
-                    f"payloads must be (k, m), got {payloads.shape}"
-                )
         self.k = k
         self.distribution = distribution
-        self.payloads = payloads
+        self.payloads = native_payloads(payloads, k)
         self.rng = make_rng(rng)
         self.balanced = balanced
         self.counter = counter if counter is not None else OpCounter()
@@ -96,11 +91,12 @@ class LTEncoder:
         neighbours = self._pick_neighbours(d)
         vector = BitVector.from_indices(self.k, (int(i) for i in neighbours))
         self.counter.add("vec_word_xor", vector.nwords() * d)
-        payload: np.ndarray | None = None
+        payload: int | None = None
         if self.payloads is not None:
-            payload = self.payloads[neighbours[0]].copy()
-            for i in neighbours[1:]:
-                np.bitwise_xor(payload, self.payloads[i], out=payload)
+            rows = self.payloads
+            payload = 0
+            for i in neighbours.tolist():
+                payload ^= rows[i]
         self.counter.add("payload_xor", max(0, d - 1))
         self.usage[neighbours] += 1
         self.emitted += 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import EncodedPacket, payload_matrix
 from repro.errors import DimensionError, DistributionError
 from repro.lt.decoder import BeliefPropagationDecoder, ReceiveOutcome
 from repro.lt.distributions import DegreeDistribution
@@ -135,7 +135,7 @@ class Precode:
             indices = [int(i) for i in support] + [self.k + j]
             packet = EncodedPacket.combine(n, indices)
             if payload_nbytes is not None:
-                packet.payload = np.zeros(payload_nbytes, dtype=np.uint8)
+                packet.payload = 0
             packets.append(packet)
         return packets
 
@@ -198,7 +198,10 @@ class RaptorDecoder:
         self, precode: Precode, payload_nbytes: int | None = None
     ) -> None:
         self.precode = precode
-        self.inner = BeliefPropagationDecoder(precode.n_intermediate)
+        self.inner = BeliefPropagationDecoder(
+            precode.n_intermediate, payload_nbytes=payload_nbytes
+        )
+        self.payload_nbytes = payload_nbytes
         self.constraint_packets = 0
         for packet in precode.constraints(payload_nbytes):
             self.inner.receive(packet)
@@ -228,6 +231,6 @@ class RaptorDecoder:
                 f"decoded {self.data_decoded_count()}/{self.k} data symbols"
             )
         rows = [self.inner.native_payload(i) for i in range(self.k)]
-        if any(r is None for r in rows):
+        if any(r is None for r in rows) or self.payload_nbytes is None:
             raise DimensionError("symbolic mode: no payload bytes to return")
-        return np.stack(rows)  # type: ignore[arg-type]
+        return payload_matrix(rows, self.payload_nbytes)  # type: ignore[arg-type]

@@ -15,15 +15,15 @@ This module provides the mutable structure with:
 * a drop-policy hook implementing §III-C1 (discard packets detected as
   redundant when their degree falls to <= 3 during decoding),
 * operation counting for the Figure 8 cost model.
+
+Payloads are immutable ints (see :mod:`repro.coding.packet`), so the
+graph stores what it is given and peeling rebinds ``payload ^ value``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from repro.coding.packet import xor_payloads
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError
 
@@ -36,7 +36,7 @@ class StoredPacket:
     __slots__ = ("pid", "support", "payload")
 
     def __init__(
-        self, pid: int, support: set[int], payload: np.ndarray | None
+        self, pid: int, support: set[int], payload: int | None
     ) -> None:
         self.pid = pid
         self.support = support
@@ -110,7 +110,7 @@ class TannerGraph:
         self.counter = counter if counter is not None else OpCounter()
         self.packets: dict[int, StoredPacket] = {}
         self.by_native: list[set[int]] = [set() for _ in range(k)]
-        self.decoded: dict[int, np.ndarray | None] = {}
+        self.decoded: dict[int, int | None] = {}
         self.listeners: list[TannerListener] = []
         self.drop_policy: DropPolicy | None = None
         self._next_pid = 0
@@ -151,7 +151,7 @@ class TannerGraph:
     def is_decoded(self, index: int) -> bool:
         return index in self.decoded
 
-    def native_payload(self, index: int) -> np.ndarray | None:
+    def native_payload(self, index: int) -> int | None:
         """Payload of a decoded native (KeyError if not decoded)."""
         return self.decoded[index]
 
@@ -159,7 +159,7 @@ class TannerGraph:
         """Copy of the current support of stored packet *pid*."""
         return set(self.packets[pid].support)
 
-    def packet_payload(self, pid: int) -> np.ndarray | None:
+    def packet_payload(self, pid: int) -> int | None:
         return self.packets[pid].payload
 
     def stored_pids(self) -> Iterator[int]:
@@ -179,7 +179,7 @@ class TannerGraph:
     # Mutation
     # ------------------------------------------------------------------
     def insert(
-        self, support: set[int], payload: np.ndarray | None
+        self, support: set[int], payload: int | None
     ) -> tuple[int | None, list[int]]:
         """Insert an encoded packet (already reduced by the caller).
 
@@ -230,61 +230,68 @@ class TannerGraph:
     # ------------------------------------------------------------------
     # Peeling
     # ------------------------------------------------------------------
-    def _decode_cascade(
-        self, index: int, payload: np.ndarray | None
-    ) -> list[int]:
-        """Record native *index* and run belief propagation to fixpoint."""
+    def _decode_cascade(self, index: int, payload: int | None) -> list[int]:
+        """Record native *index* and run belief propagation to fixpoint.
+
+        Each peeled edge (idx -> pid) XORs the decoded value out of the
+        packet; a packet whose degree falls to one decodes its last
+        native, which joins the worklist.  Per edge the cascade charges
+        one ``bp_edge``, one ``payload_xor`` and two ``table_op`` (plus
+        two more when the edge decodes a native); the charges land as
+        one add per op name after the fixpoint — the counter is a
+        totals-only multiset, so batching is unobservable.
+        """
         newly: list[int] = []
-        worklist: list[tuple[int, np.ndarray | None]] = [(index, payload)]
+        worklist: list[tuple[int, int | None]] = [(index, payload)]
+        packets = self.packets
+        by_native = self.by_native
+        decoded = self.decoded
+        drop_policy = self.drop_policy
+        edges = 0
+        table_ops = 0
         while worklist:
             idx, value = worklist.pop()
-            if idx in self.decoded:
+            if idx in decoded:
                 continue
-            self.decoded[idx] = value
+            decoded[idx] = value
             newly.append(idx)
             self._fire_decoded(idx)
-            for pid in list(self.by_native[idx]):
-                follow = self._peel_edge(pid, idx, value)
-                if follow is not None:
-                    worklist.append(follow)
+            pids = by_native[idx]
+            by_native[idx] = set()
+            for pid in pids:
+                packet = packets[pid]
+                support = packet.support
+                support.discard(idx)
+                edges += 1
+                if value is not None:
+                    p = packet.payload
+                    packet.payload = value if p is None else p ^ value
+                degree = len(support)
+                if degree == 1:
+                    (nxt,) = support
+                    by_native[nxt].discard(pid)
+                    del packets[pid]
+                    table_ops += 2
+                    self._fire_removed(pid, "decoded")
+                    worklist.append((nxt, packet.payload))
+                elif degree == 0:  # dependent packet fully cancelled
+                    del packets[pid]
+                    self._fire_removed(pid, "emptied")
+                elif (
+                    drop_policy is not None
+                    and degree <= 3
+                    and drop_policy.should_drop(support)
+                ):
+                    table_ops += 1
+                    self.remove_packet(pid, "redundant")
+                else:
+                    self._fire_degree_changed(pid, support)
+        if edges:
+            counter = self.counter
+            counter.add("bp_edge", edges)
+            counter.add("table_op", 2 * edges + table_ops)
+            counter.add("payload_xor", edges)
         return newly
-
-    def _peel_edge(
-        self, pid: int, idx: int, value: np.ndarray | None
-    ) -> tuple[int, np.ndarray | None] | None:
-        """Remove edge (idx -> pid), XOR-ing the decoded value out.
-
-        Returns a follow-up ``(native, payload)`` when the packet's
-        degree fell to one, i.e. another native became decodable.
-        """
-        packet = self.packets[pid]
-        packet.support.discard(idx)
-        self.by_native[idx].discard(pid)
-        self.counter.add("bp_edge")
-        self.counter.add("table_op", 2)
-        packet.payload = xor_payloads(packet.payload, value, self.counter)
-        degree = len(packet.support)
-        if degree == 1:
-            (nxt,) = packet.support
-            self.by_native[nxt].discard(pid)
-            del self.packets[pid]
-            self.counter.add("table_op", 2)
-            self._fire_removed(pid, "decoded")
-            return nxt, packet.payload
-        if degree == 0:  # duplicate/dependent packet fully cancelled
-            del self.packets[pid]
-            self._fire_removed(pid, "emptied")
-            return None
-        if (
-            self.drop_policy is not None
-            and degree <= 3
-            and self.drop_policy.should_drop(packet.support)
-        ):
-            self.counter.add("table_op")
-            self.remove_packet(pid, "redundant")
-            return None
-        self._fire_degree_changed(pid, packet.support)
-        return None
 
     # ------------------------------------------------------------------
     # Introspection for tests

@@ -22,11 +22,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsCollector,
 )
-from repro.obs.profiler import (
-    PHASES,
-    PhaseProfiler,
-    set_refine_profiler,
-)
+from repro.obs.profiler import PHASES, PhaseProfiler
 from repro.obs.progress import (
     PROGRESS_FORMAT,
     PROGRESS_VERSION,
@@ -87,7 +83,6 @@ __all__ = [
     "read_telemetry",
     "read_trace",
     "render_progress",
-    "set_refine_profiler",
     "telemetry_payload",
     "trace_filename",
     "validate_telemetry",

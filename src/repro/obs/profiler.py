@@ -19,8 +19,9 @@ charges are:
               refinement, which is additionally reported standalone)
 ``decode``    header innovation checks and ``receive`` processing
 ``refine``    Algorithm-2 refinement inside LTNC recoding (a *subset*
-              of ``encode``, surfaced via the :data:`REFINE_PROFILER`
-              hook so the encode/refine split is visible without
+              of ``encode``, charged through each ``LtncNode``'s
+              ``profiler`` attribute, which the simulator sets on its
+              own nodes, so the encode/refine split is visible without
               restructuring the recoding pipeline)
 
 Profiling is opt-in per simulator (``profiler=``); when absent the
@@ -34,12 +35,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = [
-    "PHASES",
-    "REFINE_PROFILER",
-    "PhaseProfiler",
-    "set_refine_profiler",
-]
+__all__ = ["PHASES", "PhaseProfiler"]
 
 #: Canonical phase names, in report order.
 PHASES = ("sampling", "channel", "encode", "decode", "refine")
@@ -118,24 +114,3 @@ class _PhaseTimer:
     def __exit__(self, *exc: object) -> None:
         self._profiler.add(self._name, time.perf_counter() - self._t0)
 
-
-# ----------------------------------------------------------------------
-# Refine-phase hook
-# ----------------------------------------------------------------------
-#: Refinement (Algorithm 2) runs deep inside ``LtncNode.make_packet``,
-#: below any seam the simulator can time around without duplicating the
-#: recoding pipeline.  A profiled run installs its profiler here for the
-#: duration (see :func:`set_refine_profiler`); the refiner call site
-#: charges it when present.  Disabled cost: one attribute read and None
-#: check per recode — orders of magnitude below the refinement itself.
-REFINE_PROFILER: PhaseProfiler | None = None
-
-
-def set_refine_profiler(profiler: PhaseProfiler | None) -> None:
-    """Install (or clear, with ``None``) the active refine-phase sink.
-
-    Process-local, like the profiler it feeds: worker processes in a
-    fleet each install their own sink inside ``run_trial``.
-    """
-    global REFINE_PROFILER
-    REFINE_PROFILER = profiler

@@ -20,7 +20,13 @@ import math
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import (
+    EncodedPacket,
+    NativePayloads,
+    native_payloads,
+    receive_natives,
+    payload_matrix,
+)
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.batch import make_rref
@@ -93,17 +99,16 @@ class RlncNode:
     def as_source(
         cls,
         k: int,
-        content: np.ndarray | None = None,
+        content: np.ndarray | NativePayloads | None = None,
         sparsity: int | None = None,
         rng: np.random.Generator | int | None = None,
         node_id: int = -1,
     ) -> "RlncNode":
         """A node pre-loaded with all *k* natives (the content source)."""
-        m = int(content.shape[1]) if content is not None else None
+        natives = native_payloads(content, k)
+        m = natives.nbytes if natives is not None else None
         node = cls(node_id, k, payload_nbytes=m, sparsity=sparsity, rng=rng)
-        for i in range(k):
-            payload = content[i] if content is not None else None
-            node.receive(EncodedPacket.native(k, i, payload))
+        receive_natives(node, k, natives)
         return node
 
     # ------------------------------------------------------------------
@@ -181,7 +186,7 @@ class RlncNode:
     # ------------------------------------------------------------------
     def decoded_content(self) -> np.ndarray:
         """The (k, m) native matrix after full-rank decoding."""
-        return np.stack(self.rref.decode())
+        return payload_matrix(self.rref.decode(), self.payload_nbytes)
 
     @property
     def rank(self) -> int:

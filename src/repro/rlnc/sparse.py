@@ -27,7 +27,11 @@ import math
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import (
+    NativePayloads,
+    native_payloads,
+    receive_natives,
+)
 from repro.errors import DimensionError
 from repro.rlnc.node import RlncNode
 
@@ -72,17 +76,16 @@ class SparseRlncNode(RlncNode):
     def as_source(
         cls,
         k: int,
-        content: np.ndarray | None = None,
+        content: np.ndarray | NativePayloads | None = None,
         density: float = DEFAULT_DENSITY,
         rng: np.random.Generator | int | None = None,
         node_id: int = -1,
     ) -> "SparseRlncNode":
         """A node pre-loaded with all *k* natives (the content source)."""
-        m = int(content.shape[1]) if content is not None else None
+        natives = native_payloads(content, k)
+        m = natives.nbytes if natives is not None else None
         node = cls(node_id, k, payload_nbytes=m, density=density, rng=rng)
-        for i in range(k):
-            payload = content[i] if content is not None else None
-            node.receive(EncodedPacket.native(k, i, payload))
+        receive_natives(node, k, natives)
         return node
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ guard pins this).
 
 from __future__ import annotations
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import native_payloads, receive_natives
 from repro.core.node import LtncNode
 from repro.lt.distributions import RobustSoliton
 from repro.lt.encoder import LTEncoder
@@ -50,12 +50,11 @@ WARM_FILL = 0.9
 # Node / source factories (signatures fixed by CodingScheme)
 # ----------------------------------------------------------------------
 def _wc_node(node_id, k, payload_nbytes, n_nodes, rng, **kwargs):
-    # WC ships raw natives: payload size needs no pre-declaration.
     # An explicit None (JSON null) means "contextual default" too, so
     # setdefault alone would leak None into WcNode's range check.
     if kwargs.get("fanout") is None:
         kwargs["fanout"] = default_fanout(n_nodes)
-    return WcNode(node_id, k, rng=rng, **kwargs)
+    return WcNode(node_id, k, rng=rng, payload_nbytes=payload_nbytes, **kwargs)
 
 
 def _wc_source(k, content, rng, **kwargs):
@@ -93,11 +92,10 @@ def _rndlt_source(k, content, rng, **kwargs):
     # which is exactly the baseline's point).
     from repro.baselines.random_recode import RandomRecodeNode
 
-    m = int(content.shape[1]) if content is not None else None
+    natives = native_payloads(content, k)
+    m = natives.nbytes if natives is not None else None
     node = RandomRecodeNode(-1, k, payload_nbytes=m, rng=rng, **kwargs)
-    for i in range(k):
-        payload = content[i] if content is not None else None
-        node.receive(EncodedPacket.native(k, i, payload))
+    receive_natives(node, k, natives)
     return node
 
 

@@ -173,7 +173,9 @@ class CodingScheme:
         contextual defaults (WC's fan-out) belong here.
     source_factory:
         ``(k, content, rng, **kwargs)`` → a node pre-loaded with all
-        *k* natives.
+        *k* natives; *content* is ``None``, a (k, m) uint8 matrix or
+        its :func:`~repro.coding.packet.native_payloads` conversion
+        (what the simulators pass, converted once for all sources).
     supports_full_feedback:
         ``make_packet(receiver_state)`` exploits the receiver's state
         (LTNC's Algorithm-4 smart construction).

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import EncodedPacket, check_payload, payload_matrix
 from repro.errors import DimensionError
 from repro.rng import make_rng
 
@@ -116,7 +116,8 @@ class TagScheme:
         """
         if packet.payload is None:
             raise DimensionError("cannot verify a symbolic packet (no payload)")
-        actual = self.tag(packet.payload)
+        check_payload(packet.payload, self.payload_nbytes)
+        actual = self.tag(payload_matrix([packet.payload], self.payload_nbytes)[0])
         expected = self.expected_tag(packet, native_tags)
         return bool(np.array_equal(actual, expected))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import EncodedPacket, native_payloads
 from repro.core.node import LtncNode
 from repro.errors import StorageError
 from repro.lt.decoder import BeliefPropagationDecoder
@@ -72,7 +72,8 @@ class StorageCluster:
     slots_per_node:
         Encoded packets each node stores.
     content:
-        Optional ``(k, m)`` payload matrix; ``None`` for symbolic mode.
+        Optional ``(k, m)`` uint8 payload matrix, converted to int
+        payloads once; ``None`` for symbolic mode.
     repair_mode:
         ``"ltnc"`` (recode fresh LT-structured packets) or ``"naive"``
         (copy helper packets verbatim) — the baseline for ablation.
@@ -120,9 +121,8 @@ class StorageCluster:
         self.n_nodes = n_nodes
         self.slots_per_node = slots_per_node
         self.content = content
-        self.payload_nbytes = (
-            int(content.shape[1]) if content is not None else None
-        )
+        natives = native_payloads(content, k)
+        self.payload_nbytes = natives.nbytes if natives is not None else None
         self.repair_mode = repair_mode
         self.repair_helpers = repair_helpers
         master = make_rng(rng)
@@ -135,7 +135,7 @@ class StorageCluster:
         encoder = LTEncoder(
             k,
             self.distribution,
-            payloads=content,
+            payloads=natives,
             rng=encoder_rng,
             balanced=True,
         )
@@ -239,7 +239,7 @@ class StorageCluster:
                 if contacted >= h and recoder.is_complete():
                     break
                 for packet in self.nodes[alive[int(i)]].packets:
-                    recoder.receive(packet.copy())
+                    recoder.receive(packet)
                 contacted += 1
             if recoder.innovative_count == 0:
                 raise StorageError("helpers had no packets; cluster is empty")
@@ -278,7 +278,7 @@ class StorageCluster:
         used = 0
         for i in order:
             for packet in self.nodes[alive[int(i)]].packets:
-                decoder.receive(packet.copy())
+                decoder.receive(packet)
                 used += 1
                 if decoder.is_complete():
                     return ReadOutcome(True, used, n, self.k)
@@ -288,9 +288,11 @@ class StorageCluster:
         """Decode and return the stored object (requires payload mode)."""
         if self.content is None:
             raise StorageError("symbolic cluster stores no payload bytes")
-        decoder = BeliefPropagationDecoder(self.k)
+        decoder = BeliefPropagationDecoder(
+            self.k, payload_nbytes=self.payload_nbytes
+        )
         for packet in self.stored_packets():
-            decoder.receive(packet.copy())
+            decoder.receive(packet)
             if decoder.is_complete():
                 return decoder.recovered_content()
         raise StorageError(

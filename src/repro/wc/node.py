@@ -15,7 +15,14 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
+from repro.coding.packet import (
+    EncodedPacket,
+    NativePayloads,
+    check_payload,
+    native_payloads,
+    payload_matrix,
+    receive_natives,
+)
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.bitvec import BitVector
@@ -49,6 +56,9 @@ class WcNode:
         Target number of times each buffered packet is forwarded (*f*).
         Packets already sent *f* times lose forwarding priority but may
         still be sent when nothing fresher is buffered.
+    payload_nbytes:
+        Payload size *m*, or ``None`` for symbolic mode; wider received
+        payloads are rejected.
     """
 
     scheme = "wc"
@@ -60,6 +70,7 @@ class WcNode:
         buffer_size: int | None = None,
         fanout: int = 8,
         rng: np.random.Generator | int | None = None,
+        payload_nbytes: int | None = None,
     ) -> None:
         if k <= 0:
             raise DimensionError(f"k must be positive, got {k}")
@@ -71,10 +82,11 @@ class WcNode:
         self.k = k
         self.buffer_size = buffer_size if buffer_size is not None else k
         self.fanout = fanout
+        self.payload_nbytes = payload_nbytes
         self.rng = make_rng(rng)
         self.recode_counter = OpCounter()
         self.decode_counter = OpCounter()
-        self.received: dict[int, np.ndarray | None] = {}
+        self.received: dict[int, int | None] = {}
         # index -> times forwarded; insertion order doubles as age.
         self._buffer: OrderedDict[int, int] = OrderedDict()
         self.innovative_count = 0
@@ -85,16 +97,18 @@ class WcNode:
     def as_source(
         cls,
         k: int,
-        content: np.ndarray | None = None,
+        content: np.ndarray | NativePayloads | None = None,
         fanout: int = 8,
         rng: np.random.Generator | int | None = None,
         node_id: int = -1,
     ) -> "WcNode":
         """A node holding (and willing to forward) every native packet."""
-        node = cls(node_id, k, buffer_size=k, fanout=fanout, rng=rng)
-        for i in range(k):
-            payload = content[i] if content is not None else None
-            node.receive(EncodedPacket.native(k, i, payload))
+        natives = native_payloads(content, k)
+        m = natives.nbytes if natives is not None else None
+        node = cls(
+            node_id, k, buffer_size=k, fanout=fanout, rng=rng, payload_nbytes=m
+        )
+        receive_natives(node, k, natives)
         return node
 
     # ------------------------------------------------------------------
@@ -121,13 +135,13 @@ class WcNode:
             raise DimensionError(
                 f"WC received a degree-{packet.degree} packet"
             )
+        check_payload(packet.payload, self.payload_nbytes)
         index = packet.vector.first_index()
         self.decode_counter.add("table_op")
         if index in self.received:
             self.redundant_count += 1
             return False
-        payload = packet.payload.copy() if packet.payload is not None else None
-        self.received[index] = payload
+        self.received[index] = packet.payload
         self.innovative_count += 1
         self._buffer[index] = 0
         if len(self._buffer) > self.buffer_size:
@@ -163,9 +177,9 @@ class WcNode:
                 f"received {len(self.received)}/{self.k} natives"
             )
         payloads = [self.received[i] for i in range(self.k)]
-        if any(p is None for p in payloads):
+        if any(p is None for p in payloads) or self.payload_nbytes is None:
             raise DecodingError("symbolic mode: no payload bytes")
-        return np.stack(payloads)  # type: ignore[arg-type]
+        return payload_matrix(payloads, self.payload_nbytes)  # type: ignore[arg-type]
 
     def buffered_indices(self) -> list[int]:
         """Indices currently eligible for forwarding (oldest first)."""

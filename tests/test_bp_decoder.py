@@ -67,7 +67,7 @@ class TestEndToEnd:
     def test_lt_stream_decodes_and_matches(self, k):
         content = make_content(k, 16, rng=k)
         enc = LTEncoder(k, RobustSoliton(k), payloads=content, rng=k)
-        dec = BeliefPropagationDecoder(k)
+        dec = BeliefPropagationDecoder(k, payload_nbytes=16)
         budget = 60 * k  # extremely generous; failure means a real bug
         while not dec.is_complete() and budget:
             dec.receive(enc.next_packet())

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.packet import EncodedPacket, make_content
+from repro.coding.packet import EncodedPacket, make_content, payload_matrix
 from repro.core.node import LtncNode
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import IncrementalRref
@@ -58,7 +58,7 @@ def test_bp_and_gauss_recover_identical_bytes(seed):
     k, m = 24, 8
     content = make_content(k, m, rng=seed)
     encoder = LTEncoder(k, RobustSoliton(k), payloads=content, rng=seed + 1)
-    bp = BeliefPropagationDecoder(k)
+    bp = BeliefPropagationDecoder(k, payload_nbytes=m)
     gauss = IncrementalRref(k, payload_nbytes=m)
     budget = 30 * k
     while not bp.is_complete() and budget:
@@ -69,7 +69,7 @@ def test_bp_and_gauss_recover_identical_bytes(seed):
     if bp.is_complete():
         assert gauss.is_full_rank()
         assert np.array_equal(
-            bp.recovered_content(), np.stack(gauss.decode())
+            bp.recovered_content(), payload_matrix(gauss.decode(), m)
         )
 
 

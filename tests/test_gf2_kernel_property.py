@@ -94,6 +94,16 @@ def test_random_constructor_consumes_identical_rng_stream(nbits, seed):
 # ----------------------------------------------------------------------
 # IncrementalRref: insert / reduce / decode + OpCounter totals
 # ----------------------------------------------------------------------
+def _as_int(payload):
+    """A uint8 payload row as the int the int kernel takes."""
+    return None if payload is None else int.from_bytes(payload.tobytes(), "little")
+
+
+def _as_row(payload, m):
+    """An int-kernel payload back as an m-byte uint8 row."""
+    return np.frombuffer(payload.to_bytes(m, "little"), dtype=np.uint8)
+
+
 @st.composite
 def _rref_case(draw):
     k = draw(st.integers(1, 64))
@@ -117,16 +127,18 @@ def test_rref_sequences_match_reference_including_counters(case):
             if m is not None
             else None
         )
+        # The int kernel takes payloads as m-byte little-endian ints.
+        ipayload = _as_int(payload)
         fv = BitVector.from_bits(bits)
         rv = ReferenceBitVector.from_indices(k, np.flatnonzero(bits))
         if rng.random() < 0.25:
-            fr, fp = fast.reduce(fv, payload)
+            fr, fp = fast.reduce(fv, ipayload)
             rr, rp = ref.reduce(rv, payload)
             assert fr.key() == rr.key()
             assert (fp is None) == (rp is None)
             if fp is not None:
-                assert np.array_equal(fp, rp)
-        assert fast.insert(fv, payload) == ref.insert(rv, payload)
+                assert np.array_equal(_as_row(fp, m), rp)
+        assert fast.insert(fv, ipayload) == ref.insert(rv, payload)
         assert fast.rank == ref.rank
         assert fast.is_innovative(fv) == ref.is_innovative(rv)
     assert fast.pivot_columns() == ref.pivot_columns()
@@ -137,7 +149,7 @@ def test_rref_sequences_match_reference_including_counters(case):
     assert fast.counter.snapshot() == ref.counter.snapshot()
     if m is not None and fast.is_full_rank():
         assert ref.is_full_rank()
-        assert [p.tobytes() for p in fast.decode()] == [
+        assert [_as_row(p, m).tobytes() for p in fast.decode()] == [
             p.tobytes() for p in ref.decode()
         ]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coding.packet import make_content
+from repro.coding.packet import make_content, payload_matrix
 from repro.core.node import LtncNode
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.matrix import IncrementalRref
@@ -75,7 +75,7 @@ def test_recoded_packets_match_content():
         expected = np.zeros(m, dtype=np.uint8)
         for i in packet.indices():
             expected ^= content[int(i)]
-        assert np.array_equal(packet.payload, expected)
+        assert np.array_equal(payload_matrix([packet.payload], m)[0], expected)
     node.check_invariants()
 
 

@@ -33,11 +33,9 @@ from repro.obs import (
     node_rank,
     read_trace,
     render_progress,
-    set_refine_profiler,
     trace_filename,
     write_progress,
 )
-from repro.obs import profiler as profiler_module
 from repro.experiments.tracestats import (
     completion_wave,
     counter_totals,
@@ -154,14 +152,32 @@ def test_phase_profiler_context_manager_and_merge():
     assert set(PHASES) == {"sampling", "channel", "encode", "decode", "refine"}
 
 
-def test_refine_profiler_hook_installs_and_clears():
-    p = PhaseProfiler()
-    set_refine_profiler(p)
-    try:
-        assert profiler_module.REFINE_PROFILER is p
-    finally:
-        set_refine_profiler(None)
-    assert profiler_module.REFINE_PROFILER is None
+def test_refine_profiler_is_per_simulator():
+    """Two profiled runs in one process charge refine to their own sink.
+
+    Rounds of the two simulators interleave; each profiler's refine
+    calls must equal the builds (every build is refined) of its own
+    simulator's nodes and sources, and an unprofiled simulator's nodes
+    carry no hook at all.
+    """
+    from repro.gossip import EpidemicSimulator
+
+    sims = [
+        EpidemicSimulator("ltnc", 8, 16, seed=s, profiler=PhaseProfiler())
+        for s in (1, 2)
+    ]
+    plain = EpidemicSimulator("ltnc", 8, 16, seed=3)
+    for r in range(40):
+        for sim in sims + [plain]:
+            if not sim.result.all_complete:
+                sim.step(r)
+    for sim in sims:
+        members = sim.sources + sim.nodes
+        assert all(node.profiler is sim.profiler for node in members)
+        builds = sum(node.stats.builds for node in members)
+        assert builds > 0
+        assert sim.profiler.calls["refine"] == builds
+    assert all(node.profiler is None for node in plain.sources + plain.nodes)
 
 
 # -- fleet progress ------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.random_recode import RandomRecodeNode
-from repro.coding.packet import make_content
+from repro.coding.packet import make_content, payload_matrix
 from repro.errors import RecodingError
 from repro.gossip import run_dissemination
 from repro.lt.distributions import RobustSoliton
@@ -41,7 +41,7 @@ def test_recoded_payload_matches_vector():
         expected = np.zeros(m, dtype=np.uint8)
         for i in packet.indices():
             expected ^= content[int(i)]
-        assert np.array_equal(packet.payload, expected)
+        assert np.array_equal(payload_matrix([packet.payload], m)[0], expected)
 
 
 def test_degrees_drift_from_soliton():

@@ -66,7 +66,7 @@ def test_constraints_are_zero_payload_packets():
     for j, packet in enumerate(packets):
         assert packet.degree == 4  # parity_degree + the parity symbol
         assert 16 + j in packet.support()
-        assert not packet.payload.any()
+        assert packet.payload == 0
 
 
 def test_end_to_end_data_recovery():

@@ -70,7 +70,7 @@ def test_polluted_payload_detected():
     trials = 50
     for _ in range(trials):
         packet = encoder.next_packet()
-        packet.payload[rng.integers(m)] ^= 1 + rng.integers(255)
+        packet.payload ^= int(1 + rng.integers(255)) << (8 * int(rng.integers(m)))
         if not scheme.verify(packet, native_tags):
             detected += 1
     # Forging odds are 2^-32 per packet; all pollution must be caught.
@@ -99,7 +99,7 @@ def test_pollution_filter_protects_decoder():
         while True:
             packet = encoder.next_packet()
             if adversary.random() < 0.33:
-                packet.payload[adversary.integers(m)] ^= 0xFF
+                packet.payload ^= 0xFF << (8 * int(adversary.integers(m)))
             yield packet
 
     # Unprotected node: decodes, but to corrupted bytes.

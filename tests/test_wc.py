@@ -99,7 +99,7 @@ class TestSourceAndContent:
     def test_decoded_content_round_trip(self):
         content = make_content(5, 4, rng=2)
         src = WcNode.as_source(5, content)
-        sink = WcNode(1, 5)
+        sink = WcNode(1, 5, payload_nbytes=4)
         for _ in range(5):
             sink.receive(src.make_packet())
         assert sink.is_complete()
